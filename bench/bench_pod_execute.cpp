@@ -9,18 +9,25 @@
 // the fleet actually replays. items/s = executed MiniVM instructions/s
 // (trace.steps).
 //
+// BM_ShortRun_{Cached,Held}/<program> time one fleet-shaped run per
+// iteration, so their time column is ns per run: execute(program, config)
+// with its decode-cache lookup, against a held decoded stream.
+//
 //   ./bench_pod_execute                 console table
 //   ./bench_pod_execute --json -        + BENCH_pod_execute.json records
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench_json_gbench.h"
 #include "common/rng.h"
 #include "minivm/builder.h"
 #include "minivm/corpus.h"
+#include "minivm/decode.h"
 #include "minivm/interp.h"
+#include "minivm/random_program.h"
 
 namespace softborg {
 namespace {
@@ -178,11 +185,81 @@ BENCHMARK(BM_PodExecuteLoops_Reference);
 BENCHMARK(BM_PodExecuteLoops_Threaded);
 BENCHMARK(BM_PodExecuteLoops_ThreadedFused);
 
+// Short runs: the programs perfbench's fleet_loop runs (the standard corpus
+// and six generated programs) plus config_space_22, whose runs take tens
+// to a few hundred steps. The loop workloads above run 80k-120k steps per
+// call, which hides any fixed per-run cost; here it is most of the run.
+struct ShortRuns {
+  Program program;
+  std::vector<std::vector<Value>> inputs;
+  std::vector<std::uint64_t> seeds;
+};
+
+const std::vector<ShortRuns>& short_runs() {
+  static const std::vector<ShortRuns> sets = [] {
+    std::vector<CorpusEntry> entries = standard_corpus();
+    entries.push_back(make_config_space(22));
+    for (std::uint64_t seed : {9000, 9001, 9006, 9010, 9011, 9013}) {
+      entries.push_back(make_random_program(seed));
+    }
+    std::vector<ShortRuns> out;
+    Rng rng(7);
+    for (CorpusEntry& entry : entries) {
+      ShortRuns s;
+      s.program = std::move(entry.program);
+      for (int i = 0; i < 64; ++i) {
+        std::vector<Value> inputs;
+        for (const auto& domain : entry.domains) {
+          inputs.push_back(rng.next_in(domain.lo, domain.hi));
+        }
+        s.inputs.push_back(std::move(inputs));
+        s.seeds.push_back(rng());
+      }
+      out.push_back(std::move(s));
+    }
+    return out;
+  }();
+  return sets;
+}
+
+void run_short(benchmark::State& state, const ShortRuns& s, bool held) {
+  const auto decoded = predecode_cached(s.program, nullptr);
+  std::size_t i = 0;
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    ExecConfig cfg;
+    cfg.inputs = s.inputs[i];
+    cfg.seed = s.seeds[i];
+    const ExecResult r = held ? execute(s.program, *decoded, cfg)
+                              : execute(s.program, cfg);
+    steps += r.trace.steps;
+    benchmark::DoNotOptimize(r.trace.outcome);
+    i = (i + 1) % s.inputs.size();
+  }
+  state.counters["steps_per_run"] =
+      static_cast<double>(steps) / static_cast<double>(state.iterations());
+}
+
+void register_short_runs() {
+  for (const ShortRuns& s : short_runs()) {
+    for (const bool held : {false, true}) {
+      const std::string name =
+          std::string(held ? "BM_ShortRun_Held/" : "BM_ShortRun_Cached/") +
+          s.program.name;
+      benchmark::RegisterBenchmark(name.c_str(),
+                                   [&s, held](benchmark::State& state) {
+                                     run_short(state, s, held);
+                                   });
+    }
+  }
+}
+
 }  // namespace
 }  // namespace softborg
 
 int main(int argc, char** argv) {
   softborg::BenchJsonWriter json("pod_execute", argc, argv);  // strips --json
+  softborg::register_short_runs();
   benchmark::Initialize(&argc, argv);
   softborg::JsonTeeReporter reporter(json);
   benchmark::RunSpecifiedBenchmarks(&reporter);

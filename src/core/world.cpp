@@ -519,6 +519,13 @@ std::uint64_t World::config_fingerprint() const {
   put_varint(b, config_.hive.fixer.validation_runs_region);
   put_varint(b, config_.hive.fixer.validation_runs_domain);
   put_varint(b, config_.hive.fixer.seed);
+  put_varint(b, config_.hive.proof_budget.max_gap_closures);
+  put_varint(b, config_.hive.proof_budget.max_symbolic_paths);
+  put_varint(b, config_.hive.proof_budget.solver.max_nodes);
+  put_varint(b, config_.hive.proof_budget.frontier_budget);
+  put_varint(b, config_.hive.guidance.solver.max_nodes);
+  put_varint(b, config_.hive.guidance.max_paths_per_frontier);
+  put_varint(b, config_.hive.guidance.frontier_budget);
   // Corpus identity.
   put_varint(b, corpus_.size());
   for (const auto& entry : corpus_) put_varint(b, entry.program.id.value);

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "minivm/decode.h"
 #include "minivm/interp.h"
 #include "minivm/replay.h"
 #include "pod/protocol.h"
@@ -177,6 +178,11 @@ void FixSynthesizer::validate(FixCandidate& candidate,
       },
       candidate.fix);
 
+  // Every run below executes one of two streams: the program bare, or with
+  // the candidate installed. Look each up once, not once per run.
+  const auto bare = predecode_cached(entry.program, nullptr);
+  const auto fixed = predecode_cached(entry.program, &fixes);
+
   Rng rng(config_.seed ^ bug.id.value);
   auto draw_inputs = [&]() {
     std::vector<Value> inputs;
@@ -206,14 +212,11 @@ void FixSynthesizer::validate(FixCandidate& candidate,
 
     // First check the failure still manifests without the fix (otherwise
     // the run doesn't count as region evidence).
-    ExecConfig bare = cfg;
-    bare.fixes = nullptr;
-    const auto before = execute(entry.program, bare);
+    const auto before = execute(entry.program, *bare, cfg);
     if (before.trace.outcome == Outcome::kOk) continue;
 
     region_runs++;
-    cfg.fixes = &fixes;
-    const auto after = execute(entry.program, cfg);
+    const auto after = execute(entry.program, *fixed, cfg);
     if (after.trace.outcome == Outcome::kOk) averted++;
   }
   candidate.averted_fraction =
@@ -229,13 +232,11 @@ void FixSynthesizer::validate(FixCandidate& candidate,
     cfg.seed = rng();
     cfg.max_steps = 200'000;
 
-    ExecConfig bare = cfg;
-    const auto before = execute(entry.program, bare);
+    const auto before = execute(entry.program, *bare, cfg);
     if (before.trace.outcome != Outcome::kOk) continue;
 
     healthy_runs++;
-    cfg.fixes = &fixes;
-    const auto after = execute(entry.program, cfg);
+    const auto after = execute(entry.program, *fixed, cfg);
     // A lock-avoidance fix may legitimately intervene (yield) on healthy
     // runs — that only reorders the schedule. Guard patches and crash
     // guards, in contrast, must never fire outside the failure region.

@@ -1,5 +1,8 @@
 #include "hive/guidance.h"
 
+#include "minivm/decode.h"
+#include "minivm/interp.h"
+
 namespace softborg {
 
 std::vector<GuidanceDirective> GuidancePlanner::plan_frontier(
@@ -55,6 +58,7 @@ std::vector<GuidanceDirective> GuidancePlanner::plan_schedules(
   // acquires a lock. Interleavings that park every thread just past its
   // first acquisition before mixing are exactly the schedules where lock
   // cycles close — the "rare in practice" interleavings of §3.3.
+  const auto decoded = predecode_cached(entry.program, nullptr);
   std::vector<Value> sample_inputs;
   std::vector<std::uint32_t> first_acquire(threads, 0);
   auto resample = [&]() {
@@ -72,7 +76,7 @@ std::vector<GuidanceDirective> GuidancePlanner::plan_schedules(
       cfg.schedule_plan = &solo;
       cfg.granularity = Granularity::kFull;
       cfg.max_steps = 20'000;
-      const auto probe = execute(entry.program, cfg);
+      const auto probe = execute(entry.program, *decoded, cfg);
       first_acquire[t] = 0;
       for (const auto& ev : probe.trace.lock_events) {
         if (ev.thread == t && ev.acquire) {

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/log.h"
+#include "minivm/decode.h"
 #include "minivm/interp.h"
 #include "minivm/replay.h"
 
@@ -200,6 +201,7 @@ bool check_certificate(const CorpusEntry& entry, const ProofCertificate& cert,
   const std::uint64_t stride =
       total > max_checks ? (total + max_checks - 1) / max_checks : 1;
 
+  const auto decoded = predecode_cached(entry.program, nullptr);
   std::set<std::uint64_t> distinct_paths;
   for (std::uint64_t index = 0; index < total; index += stride) {
     // Decode row-major index into concrete inputs.
@@ -213,7 +215,7 @@ bool check_certificate(const CorpusEntry& entry, const ProofCertificate& cert,
     }
     ExecConfig cfg;
     cfg.inputs = std::move(inputs);
-    const auto result = execute(entry.program, cfg);
+    const auto result = execute(entry.program, *decoded, cfg);
     if (outcome_violates(cert.property, result.trace.outcome)) {
       return fail("counterexample at input index " + std::to_string(index));
     }

@@ -116,8 +116,16 @@ const char* tok_name(Tok tok) {
 DecodedProgram predecode(const Program& p, const FixSet* fixes,
                          const DecodeOptions& options) {
   SB_SPAN("minivm.predecode");
+  // The one place programs are validated: execute() runs only streams
+  // built here, and the cache key covers every field validate() reads.
+  SB_CHECK(p.validate());
+  SB_CHECK(p.num_threads() <= 256);
   DecodedProgram d;
   d.fused = options.fuse;
+  d.thread_entries = p.thread_entries;
+  d.num_regs = p.num_regs;
+  d.num_globals = p.num_globals;
+  d.num_locks = p.num_locks;
   const std::size_t n = p.code.size();
   d.code.resize(n);
 
@@ -200,8 +208,10 @@ DecodedProgram predecode(const Program& p, const FixSet* fixes,
 namespace {
 
 // 128-bit dual-pass content hash over (program, fixes, fuse): the decode
-// cache key. Everything the decoded stream depends on is folded in;
-// id/name metadata is excluded so equal-content programs share an entry.
+// cache key. Everything the decoded stream depends on is folded in, and so
+// is every field Program::validate() reads, each at full width: a hit
+// means the program equals one predecode() already validated. id/name
+// metadata is excluded so equal-content programs share an entry.
 struct DecodeKey {
   std::uint64_t h1 = 0;
   std::uint64_t h2 = 0;
@@ -216,10 +226,10 @@ DecodeKey decode_key(const Program& p, const FixSet* fixes, bool fuse) {
   mix(p.code.size());
   for (const Instr& ins : p.code) {
     mix(static_cast<std::uint64_t>(ins.op) |
-        (static_cast<std::uint64_t>(ins.site) << 8) |
-        (static_cast<std::uint64_t>(ins.a) << 40));
-    mix(static_cast<std::uint64_t>(ins.b) |
-        (static_cast<std::uint64_t>(ins.c) << 32));
+        (static_cast<std::uint64_t>(ins.site) << 8));
+    mix(static_cast<std::uint64_t>(ins.a) |
+        (static_cast<std::uint64_t>(ins.b) << 32));
+    mix(static_cast<std::uint64_t>(ins.c));
     mix(static_cast<std::uint64_t>(ins.imm));
   }
   mix(p.thread_entries.size());

@@ -16,9 +16,16 @@
 // step budgets once per original instruction (interp.cpp), so traces are
 // byte-identical with fusion on or off.
 //
+// Predecode is also where a Program is validated: every stream, cached or
+// not, was built from a program that passed Program::validate(), so running
+// a stream never re-checks the program.
+//
 // Decoded programs are cached per (Program, FixSet, fuse) content hash so
 // repeated replays of the same program/fix configuration — the fleet's
-// common case — skip decode entirely.
+// common case — skip decode entirely. A caller that runs one (program, fix
+// set) many times holds the shared stream and passes it to
+// execute(program, decoded, config) (interp.h), which skips even the cache
+// lookup.
 #pragma once
 
 #include <array>
@@ -125,17 +132,37 @@ struct DecodedProgram {
   std::vector<LockAvoidanceFix> lockfix_pool;
   std::uint32_t fused_slots = 0;  // static count of len==2 slots
   bool fused = false;             // decoded with fusion enabled
+  // Layout of the source program, validated with it. The machine sizes its
+  // threads, registers, globals and locks from these, never from the
+  // Program a held stream is run against.
+  std::vector<std::uint32_t> thread_entries;
+  std::uint16_t num_regs = 0;
+  std::uint16_t num_globals = 0;
+  std::uint16_t num_locks = 0;
+
+  // Sizes only, never a content comparison or a rehash: enough to catch a
+  // stream run against another program.
+  bool same_shape(const Program& p) const {
+    return code.size() == p.code.size() &&
+           thread_entries.size() == p.thread_entries.size() &&
+           num_regs == p.num_regs && num_globals == p.num_globals &&
+           num_locks == p.num_locks;
+  }
 };
 
-// Decodes `p` with `fixes` (nullptr == empty FixSet) resolved into the
-// stream. Deterministic in its inputs.
+// Validates `p` (SB_CHECK: Program::validate() and at most 256 threads), then
+// decodes it with `fixes` (nullptr == empty FixSet) resolved into the stream.
+// Deterministic in its inputs.
 DecodedProgram predecode(const Program& p, const FixSet* fixes,
                          const DecodeOptions& options = {});
 
 // Cached predecode, keyed by a 128-bit dual-pass content hash over the
 // program, the fixes, and the fuse flag (pointer identity is deliberately
 // not part of the key: equal content shares one entry, mutated content
-// misses). Thread-safe; generational eviction when the cache fills.
+// misses). The key covers every Program field validate() reads, so a hit
+// is a program that was validated when its entry was decoded.
+// Thread-safe; generational eviction when the cache fills. Each call is one
+// lookup (one hit or one miss in predecode_cache_stats()).
 std::shared_ptr<const DecodedProgram> predecode_cached(
     const Program& p, const FixSet* fixes, const DecodeOptions& options = {});
 

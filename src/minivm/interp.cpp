@@ -100,25 +100,25 @@ enum LockResult {
 
 class Machine {
  public:
-  Machine(const Program& program, const ExecConfig& config)
-      : p_(program),
+  // Everything the run reads about the program comes from the validated
+  // stream; `program` only names the trace.
+  Machine(ProgramId program, const DecodedProgram& decoded,
+          const ExecConfig& config)
+      : program_(program),
         cfg_(config),
         env_(config.env != nullptr ? *config.env : default_env()),
         sched_rng_(config.seed),
         env_rng_(Rng(config.seed).split(0x0e17)),
-        decoded_(predecode_cached(
-            program, config.fixes,
-            // Pair profiling needs the raw unfused stream to observe pairs.
-            {.fuse = config.enable_fusion && config.pair_counts == nullptr})) {
-    threads_.resize(p_.num_threads());
+        decoded_(decoded) {
+    threads_.resize(decoded_.thread_entries.size());
     for (std::size_t t = 0; t < threads_.size(); ++t) {
-      threads_[t].pc = p_.thread_entries[t];
-      threads_[t].regs.assign(p_.num_regs, 0);
-      threads_[t].taint.assign(p_.num_regs, 0);
+      threads_[t].pc = decoded_.thread_entries[t];
+      threads_[t].regs.assign(decoded_.num_regs, 0);
+      threads_[t].taint.assign(decoded_.num_regs, 0);
     }
-    globals_.assign(p_.num_globals, 0);
-    global_taint_.assign(p_.num_globals, 0);
-    locks_.resize(p_.num_locks);
+    globals_.assign(decoded_.num_globals, 0);
+    global_taint_.assign(decoded_.num_globals, 0);
+    locks_.resize(decoded_.num_locks);
   }
 
   ExecResult run();
@@ -139,12 +139,12 @@ class Machine {
            cfg_.granularity == Granularity::kFull;
   }
 
-  const Program& p_;
+  const ProgramId program_;
   const ExecConfig& cfg_;
   const EnvModel& env_;
   Rng sched_rng_;
   Rng env_rng_;
-  std::shared_ptr<const DecodedProgram> decoded_;
+  const DecodedProgram& decoded_;
 
   std::vector<ThreadCtx> threads_;
   std::vector<Value> globals_;
@@ -216,7 +216,7 @@ LockResult Machine::exec_lock(std::uint8_t t, const DecodedInstr& d) {
   // (quantum ends, pc unchanged) instead of entering the pattern. Predecode
   // already filtered the installed fixes down to the ones covering `l`.
   if (d.fix_count != 0) {
-    const LockAvoidanceFix* fs = decoded_->lockfix_pool.data() + d.fix_begin;
+    const LockAvoidanceFix* fs = decoded_.lockfix_pool.data() + d.fix_begin;
     for (std::uint32_t i = 0; i < d.fix_count; ++i) {
       const LockAvoidanceFix& fix = fs[i];
       // If we already hold a cycle lock we are the occupant; proceed.
@@ -299,7 +299,7 @@ void Machine::run_quantum(std::uint8_t t, std::uint32_t quantum) {
   ThreadCtx& th = threads_[t];
   Value* const regs = th.regs.data();
   std::uint8_t* const taint = th.taint.data();
-  const DecodedInstr* const code = decoded_->code.data();
+  const DecodedInstr* const code = decoded_.code.data();
   const std::uint64_t max_steps = cfg_.max_steps;
   // Invariant per turn: plan_run_ only advances in pick_next_thread.
   const bool plan_active = cfg_.schedule_plan != nullptr &&
@@ -316,7 +316,7 @@ void Machine::run_quantum(std::uint8_t t, std::uint32_t quantum) {
   // The whole turn is one thread, so the schedule summary advances by bulk
   // increments on one run instead of a call per instruction.
   ScheduleRun* sched = nullptr;
-  if (p_.num_threads() > 1) {
+  if (threads_.size() > 1) {
     if (schedule_.empty() || schedule_.back().thread != t) {
       schedule_.push_back({t, 0});
     }
@@ -435,7 +435,7 @@ dispatch_switch:
     Value r;                                                            \
     if (y == 0) {                                                       \
       const CrashGuardFix* g =                                          \
-          d->guard != kNoFix ? &decoded_->guard_pool[d->guard] : nullptr; \
+          d->guard != kNoFix ? &decoded_.guard_pool[d->guard] : nullptr; \
       if (g == nullptr || g->action != CrashGuardFix::Action::kSubstitute) { \
         crash(CrashKind::kDivByZero, th.pc, (DETAIL));                  \
         return;                                                         \
@@ -524,7 +524,7 @@ dispatch_switch:
       }
       if (!ok) {
         const CrashGuardFix* g =
-            d->guard != kNoFix ? &decoded_->guard_pool[d->guard] : nullptr;
+            d->guard != kNoFix ? &decoded_.guard_pool[d->guard] : nullptr;
         if (g != nullptr && g->action == CrashGuardFix::Action::kSkip) {
           fix_intervened_ = true;
           th.pc++;
@@ -539,7 +539,7 @@ dispatch_switch:
     }
     SB_CASE(kAbort) : {
       const CrashGuardFix* g =
-          d->guard != kNoFix ? &decoded_->guard_pool[d->guard] : nullptr;
+          d->guard != kNoFix ? &decoded_.guard_pool[d->guard] : nullptr;
       if (g != nullptr && g->action == CrashGuardFix::Action::kSkip) {
         fix_intervened_ = true;
         th.pc++;
@@ -638,7 +638,7 @@ branch_resolve : {
   // synthesized input predicate holds. Candidates were pre-filtered to this
   // site at predecode, in FixSet order; first match wins.
   if (d->fix_count != 0) {
-    const GuardPatch* ps = decoded_->patch_pool.data() + d->fix_begin;
+    const GuardPatch* ps = decoded_.patch_pool.data() + d->fix_begin;
     for (std::uint32_t i = 0; i < d->fix_count; ++i) {
       if (br_dir == ps[i].crash_direction && ps[i].matches(cfg_.inputs)) {
         br_dir = !br_dir;
@@ -708,7 +708,7 @@ int Machine::pick_next_thread() {
   plan_cap_ = 0;
   // Stack buffer: this runs once per turn, and a heap-backed vector here
   // dominated the whole interpreter at short quanta. threads_.size() <= 256
-  // is enforced in execute().
+  // is enforced in predecode().
   std::uint8_t runnable[256];
   std::size_t n = 0;
   for (std::size_t t = 0; t < threads_.size(); ++t) {
@@ -763,7 +763,7 @@ ExecResult Machine::run() {
 
   ExecResult result;
   Trace& tr = result.trace;
-  tr.program = p_.id;
+  tr.program = program_;
   tr.outcome = outcome_;
   tr.crash = crash_info_;
   tr.granularity = cfg_.granularity;
@@ -803,12 +803,38 @@ const EnvModel& default_env() {
   return kEnv;
 }
 
-ExecResult execute(const Program& program, const ExecConfig& config) {
-  SB_CHECK(program.validate());
-  SB_CHECK(program.num_threads() <= 256);
+namespace {
+
+// The stream mode a config asks for. Pair profiling needs the raw unfused
+// stream to observe pairs.
+bool wants_fused(const ExecConfig& config) {
+  return config.enable_fusion && config.pair_counts == nullptr;
+}
+
+// The one Machine path behind both execute() overloads. `decoded` was built
+// by predecode() from `program` (or a program equal to it), so the program
+// is already validated.
+ExecResult run_decoded(const Program& program, const DecodedProgram& decoded,
+                       const ExecConfig& config) {
   SB_SPAN("minivm.execute");
-  Machine m(program, config);
+  Machine m(program.id, decoded, config);
   return m.run();
+}
+
+}  // namespace
+
+ExecResult execute(const Program& program, const ExecConfig& config) {
+  const std::shared_ptr<const DecodedProgram> decoded = predecode_cached(
+      program, config.fixes, {.fuse = wants_fused(config)});
+  return run_decoded(program, *decoded, config);
+}
+
+ExecResult execute(const Program& program, const DecodedProgram& decoded,
+                   const ExecConfig& config) {
+  SB_CHECK(decoded.same_shape(program));
+  SB_CHECK(config.fixes == nullptr);  // the stream carries its fixes
+  SB_CHECK(decoded.fused == wants_fused(config));
+  return run_decoded(program, decoded, config);
 }
 
 }  // namespace softborg

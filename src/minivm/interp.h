@@ -23,7 +23,8 @@
 
 namespace softborg {
 
-struct OpPairCounts;  // minivm/decode.h
+struct OpPairCounts;    // minivm/decode.h
+struct DecodedProgram;  // minivm/decode.h
 
 // A schedule steering plan: follow these (thread, steps) runs while the
 // named thread is runnable; fall back to the seeded scheduler afterwards.
@@ -76,8 +77,21 @@ struct ExecResult {
   bool fix_intervened = false;  // some installed fix altered this run
 };
 
-// Runs `program` under `config`. Thread-safe: no shared mutable state.
+// Runs `program` under `config`: one predecode_cached() lookup of
+// (program, config.fixes, fusion), then the held-stream overload below.
+// Thread-safe: no shared mutable state beyond the decode cache.
 ExecResult execute(const Program& program, const ExecConfig& config);
+
+// Runs a held decoded stream of `program` (predecode / predecode_cached,
+// decode.h) with no cache lookup — for callers that run one (program, fix
+// set) many times. The stream already carries its fixes and fusion mode, so
+// `config.fixes` must be null and `config.enable_fusion` /
+// `config.pair_counts` must ask for the stream's mode (pair profiling
+// needs an unfused stream); a stream decoded from a program of another
+// shape (code length, thread/register/global/lock counts) is refused too.
+// Each of these is an always-on SB_CHECK.
+ExecResult execute(const Program& program, const DecodedProgram& decoded,
+                   const ExecConfig& config);
 
 // The pre-dispatch-rebuild nested-switch interpreter, kept verbatim as a
 // differential baseline (interp_ref.cpp). Semantically identical to

@@ -13,7 +13,7 @@ void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-thread_local std::size_t Counter::tls_stripe_ = Counter::kNoStripe;
+constinit thread_local std::size_t Counter::tls_stripe_ = Counter::kNoStripe;
 
 std::size_t Counter::assign_stripe() {
   static std::atomic<std::size_t> next{0};

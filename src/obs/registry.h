@@ -71,12 +71,15 @@ class Counter {
   // Each thread is assigned one stripe round-robin on first use. The TLS
   // slot is constant-initialized, so the fast path is one plain TLS load
   // with no init guard; the one-time assignment is the out-of-line path.
+  // `constinit` on this declaration is what lets other translation units
+  // know that: without it GCC reaches the slot through a TLS init wrapper
+  // call, which UBSan reports as a null-pointer load.
   static std::size_t thread_stripe() {
     const std::size_t s = tls_stripe_;
     return s != kNoStripe ? s : assign_stripe();
   }
   static std::size_t assign_stripe();
-  static thread_local std::size_t tls_stripe_;
+  static constinit thread_local std::size_t tls_stripe_;
 
   std::array<Cell, kStripes> cells_{};
 };

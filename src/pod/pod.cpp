@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "minivm/decode.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 
@@ -38,35 +39,32 @@ Pod::Pod(PodId id, const CorpusEntry& entry, UserProfile profile,
            profile_.input_prefs.size() == entry.domains.size());
 }
 
-bool Pod::install(const GuardPatch& patch) {
-  if (patch.program != program()) return false;
+// Records `fix` as installed unless it already is; true means the caller
+// adds it to fixes_, so the held stream is stale and is dropped here.
+bool Pod::add_fix_id(FixId fix) {
   if (std::count(installed_fix_ids_.begin(), installed_fix_ids_.end(),
-                 patch.id.value) != 0) {
+                 fix.value) != 0) {
     return false;
   }
-  installed_fix_ids_.push_back(patch.id.value);
+  installed_fix_ids_.push_back(fix.value);
+  decoded_.reset();
+  return true;
+}
+
+bool Pod::install(const GuardPatch& patch) {
+  if (patch.program != program() || !add_fix_id(patch.id)) return false;
   fixes_.guards.push_back(patch);
   return true;
 }
 
 bool Pod::install(const CrashGuardFix& fix) {
-  if (fix.program != program()) return false;
-  if (std::count(installed_fix_ids_.begin(), installed_fix_ids_.end(),
-                 fix.id.value) != 0) {
-    return false;
-  }
-  installed_fix_ids_.push_back(fix.id.value);
+  if (fix.program != program() || !add_fix_id(fix.id)) return false;
   fixes_.crash_guards.push_back(fix);
   return true;
 }
 
 bool Pod::install(const LockAvoidanceFix& fix) {
-  if (fix.program != program()) return false;
-  if (std::count(installed_fix_ids_.begin(), installed_fix_ids_.end(),
-                 fix.id.value) != 0) {
-    return false;
-  }
-  installed_fix_ids_.push_back(fix.id.value);
+  if (fix.program != program() || !add_fix_id(fix.id)) return false;
   fixes_.lock_fixes.push_back(fix);
   return true;
 }
@@ -116,14 +114,19 @@ PodRun Pod::run_once(std::uint64_t day) {
   cfg.max_steps = config_.max_steps;
   cfg.granularity = config_.granularity;
   cfg.enable_fusion = config_.enable_fusion;
-  cfg.fixes = &fixes_;
   if (directive && directive->schedule) {
     cfg.schedule_plan = &*directive->schedule;
   }
   if (directive && directive->faults) cfg.fault_plan = &*directive->faults;
   cfg.collect_branch_events = config_.sampling_rate > 0;
 
-  ExecResult exec = execute(entry_->program, cfg);
+  // Fetched on the first run rather than in the constructor, so building a
+  // fleet does no decode work; pods with equal fix sets share one stream.
+  if (decoded_ == nullptr) {
+    decoded_ = predecode_cached(entry_->program, &fixes_,
+                                {.fuse = config_.enable_fusion});
+  }
+  ExecResult exec = execute(entry_->program, *decoded_, cfg);
 
   // Inferred end-user feedback: a hung program is usually force-killed.
   if (exec.trace.outcome == Outcome::kHang &&
@@ -213,6 +216,7 @@ bool Pod::load_state(StateReader& r) {
   // decoder, so a bit-flipped snapshot fails here rather than installing a
   // malformed fix into the interpreter.
   fixes_ = FixSet{};
+  decoded_.reset();
   const std::uint64_t n_guards = r.count();
   fixes_.guards.reserve(n_guards);
   for (std::uint64_t i = 0; i < n_guards && r.ok(); ++i) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -83,6 +84,8 @@ class Pod {
   ProgramId program() const { return entry_->program.id; }
 
   // --- fix installation (idempotent by FixId) ------------------------------
+  // An install that changes the fix set drops the held decoded stream; the
+  // next run fetches the stream for the new set.
   bool install(const GuardPatch& patch);
   bool install(const CrashGuardFix& fix);
   bool install(const LockAvoidanceFix& fix);
@@ -96,7 +99,10 @@ class Pod {
   // --- execution -----------------------------------------------------------
   // Number of user-triggered executions for this virtual day.
   std::uint32_t draws_for_day();
-  // Performs one execution and returns the (anonymized) by-products.
+  // Performs one execution and returns the (anonymized) by-products. The
+  // first run after construction, install() or load_state() fetches the
+  // decoded stream of (program, fixes) from predecode_cached() and holds the
+  // shared copy; later runs execute it with no lookup.
   PodRun run_once(std::uint64_t day);
 
   const PodStats& stats() const { return stats_; }
@@ -112,6 +118,7 @@ class Pod {
 
  private:
   std::vector<Value> draw_inputs();
+  bool add_fix_id(FixId fix);
 
   PodId id_;
   const CorpusEntry* entry_;
@@ -119,6 +126,9 @@ class Pod {
   PodConfig config_;
   Rng rng_;
   FixSet fixes_;
+  // Decoded stream of (program, fixes_), shared with the decode cache; null
+  // until the next run whenever fixes_ changes.
+  std::shared_ptr<const DecodedProgram> decoded_;
   std::vector<std::uint64_t> installed_fix_ids_;
   std::deque<GuidanceDirective> guidance_;
   PodStats stats_;

@@ -38,17 +38,24 @@ void expect_same(const ExecResult& got, const ExecResult& want,
   EXPECT_EQ(got.fix_intervened, want.fix_intervened) << ctx;
 }
 
-// Runs `p` three ways — frozen reference, new core unfused, new core fused —
-// and requires all observables identical.
+// Runs `p` five ways — frozen reference, then the new core unfused and
+// fused, each through the cached execute(program, config) and through a
+// held stream decoded outside the cache — and requires all observables
+// identical.
 void expect_all_backends_identical(const Program& p, const ExecConfig& cfg,
                                    const std::string& ctx) {
   const ExecResult want = execute_reference(p, cfg);
-  ExecConfig unfused = cfg;
-  unfused.enable_fusion = false;
-  expect_same(execute(p, unfused), want, ctx + " [unfused]");
-  ExecConfig fused = cfg;
-  fused.enable_fusion = true;
-  expect_same(execute(p, fused), want, ctx + " [fused]");
+  for (const bool fuse : {false, true}) {
+    const std::string leg = fuse ? " [fused]" : " [unfused]";
+    ExecConfig cached = cfg;
+    cached.enable_fusion = fuse;
+    expect_same(execute(p, cached), want, ctx + leg);
+
+    const DecodedProgram held = predecode(p, cfg.fixes, {.fuse = fuse});
+    ExecConfig held_cfg = cached;
+    held_cfg.fixes = nullptr;  // the held stream carries them
+    expect_same(execute(p, held, held_cfg), want, ctx + leg + " [held]");
+  }
 }
 
 // ------------------------------------------------- random programs ---------

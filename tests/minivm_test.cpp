@@ -4,6 +4,7 @@
 
 #include "minivm/builder.h"
 #include "minivm/corpus.h"
+#include "minivm/decode.h"
 #include "minivm/interp.h"
 #include "minivm/program.h"
 
@@ -82,6 +83,78 @@ TEST(Program, ValidateCatchesBadRegister) {
   Program p = b.build();
   p.code.insert(p.code.begin(), {.op = Op::kConst, .a = 7});
   EXPECT_FALSE(p.validate());
+}
+
+// ------------------------------------------- checks that abort (SB_CHECK) --
+
+// A two-register program whose first instruction writes register `reg`.
+Program writes_register(std::uint32_t reg) {
+  ProgramBuilder b("writes_register");
+  const Reg r = b.reg();
+  b.reg();
+  b.const_(r, 1);
+  b.halt();
+  Program p = b.build();
+  p.code[0].a = reg;
+  return p;
+}
+
+TEST(ExecuteDeathTest, OutOfRangeRegisterAborts) {
+  // execute() validates when predecode() builds the stream. The valid
+  // program's stream is cached first, and the bad register differs from it
+  // only in the top byte, so this also pins that the cache key hashes every
+  // operand at full width: a hit would run an unvalidated program.
+  const Program valid = writes_register(1);
+  EXPECT_EQ(execute(valid, ExecConfig{}).trace.outcome, Outcome::kOk);
+  const Program invalid = writes_register(1u | (1u << 24));
+  EXPECT_DEATH(execute(invalid, ExecConfig{}), "validate");
+  EXPECT_DEATH(execute(writes_register(2), ExecConfig{}), "validate");
+}
+
+TEST(ExecuteDeathTest, HeldStreamOfAnotherShapeAborts) {
+  const Program p = writes_register(1);
+  const DecodedProgram held = predecode(p, nullptr);
+  EXPECT_EQ(execute(p, held, ExecConfig{}).trace.outcome, Outcome::kOk);
+
+  Program longer = p;
+  longer.code.push_back({.op = Op::kHalt});
+  Program more_threads = p;
+  more_threads.thread_entries.push_back(0);
+  Program more_regs = p;
+  more_regs.num_regs++;
+  Program more_globals = p;
+  more_globals.num_globals++;
+  Program more_locks = p;
+  more_locks.num_locks++;
+  for (const Program* other :
+       {&longer, &more_threads, &more_regs, &more_globals, &more_locks}) {
+    EXPECT_DEATH(execute(*other, held, ExecConfig{}), "same_shape");
+  }
+}
+
+TEST(ExecuteDeathTest, HeldStreamRefusesConfigItCannotHonor) {
+  const Program p = writes_register(1);
+  const DecodedProgram fused = predecode(p, nullptr);
+  const DecodedProgram unfused = predecode(p, nullptr, {.fuse = false});
+
+  const FixSet fixes;
+  ExecConfig with_fixes;
+  with_fixes.fixes = &fixes;
+  EXPECT_DEATH(execute(p, fused, with_fixes), "fixes == nullptr");
+
+  ExecConfig fusion_off;
+  fusion_off.enable_fusion = false;
+  EXPECT_DEATH(execute(p, fused, fusion_off), "wants_fused");
+  EXPECT_DEATH(execute(p, unfused, ExecConfig{}), "wants_fused");
+  OpPairCounts pairs;
+  ExecConfig profiled;
+  profiled.pair_counts = &pairs;
+  EXPECT_DEATH(execute(p, fused, profiled), "wants_fused");
+
+  // The stream that matches the config runs.
+  EXPECT_EQ(execute(p, unfused, fusion_off).trace.outcome, Outcome::kOk);
+  EXPECT_EQ(execute(p, unfused, profiled).trace.outcome, Outcome::kOk);
+  EXPECT_EQ(pairs.total(), 1u);
 }
 
 // ---------------------------------------------------------- arithmetic -----

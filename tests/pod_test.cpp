@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "minivm/corpus.h"
+#include "minivm/decode.h"
 #include "pod/pod.h"
 #include "pod/protocol.h"
 
@@ -236,6 +237,99 @@ TEST(Pod, StatsAccumulate) {
   Pod pod = make_pod(entry);
   for (int i = 0; i < 10; ++i) pod.run_once(1);
   EXPECT_EQ(pod.stats().runs, 10u);
+}
+
+// ------------------------------------------------ held decoded stream -----
+
+// predecode_cached() calls so far: each is one hit or one miss.
+std::uint64_t decode_lookups() {
+  const PredecodeCacheStats s = predecode_cache_stats();
+  return s.hits + s.misses;
+}
+
+// The media parser's crash region and the guard patch that averts it.
+GuardPatch media_parser_patch(const CorpusEntry& entry) {
+  GuardPatch patch;
+  patch.id = FixId(1);
+  patch.program = entry.program.id;
+  patch.site = 3;
+  patch.crash_direction = false;
+  patch.when = {{0, 13, 13}, {1, 200, 255}};
+  return patch;
+}
+
+// Runs `pod` once on `inputs` (through a guidance directive) and expects
+// the run to equal a direct execute() with the pod's installed FixSet. The
+// media parser is single-threaded with no syscalls, so the run's seed does
+// not matter.
+void expect_run_matches_execute(Pod& pod, const CorpusEntry& entry,
+                                std::vector<Value> inputs) {
+  GuidanceDirective d;
+  d.program = entry.program.id;
+  d.input_seed = inputs;
+  pod.push_guidance(d);
+  const PodRun run = pod.run_once(1);
+
+  ExecConfig cfg;
+  cfg.inputs = std::move(inputs);
+  cfg.fixes = &pod.fixes();
+  const ExecResult want = execute(entry.program, cfg);
+  EXPECT_EQ(run.trace.outcome, want.trace.outcome);
+  EXPECT_EQ(run.trace.crash, want.trace.crash);
+  EXPECT_EQ(run.trace.branch_bits, want.trace.branch_bits);
+  EXPECT_EQ(run.trace.steps, want.trace.steps);
+  EXPECT_EQ(run.trace.patched, want.trace.patched);
+  EXPECT_EQ(run.fix_intervened, want.fix_intervened);
+}
+
+TEST(Pod, RunsLookUpTheDecodedStreamOnce) {
+  const auto entry = make_media_parser();
+  Pod pod = make_pod(entry);
+  const std::uint64_t before = decode_lookups();
+  for (int i = 0; i < 1000; ++i) pod.run_once(1);
+  EXPECT_EQ(decode_lookups() - before, 1u);
+  EXPECT_EQ(pod.stats().runs, 1000u);
+}
+
+TEST(Pod, InstallFetchesTheStreamOnceMore) {
+  const auto entry = make_media_parser();
+  Pod pod = make_pod(entry);
+  for (int i = 0; i < 10; ++i) pod.run_once(1);
+
+  std::uint64_t before = decode_lookups();
+  ASSERT_TRUE(pod.install(media_parser_patch(entry)));
+  for (int i = 0; i < 10; ++i) pod.run_once(1);
+  EXPECT_EQ(decode_lookups() - before, 1u);
+
+  // A rejected duplicate leaves the fix set, and so the held stream, alone.
+  before = decode_lookups();
+  EXPECT_FALSE(pod.install(media_parser_patch(entry)));
+  pod.run_once(1);
+  EXPECT_EQ(decode_lookups() - before, 0u);
+
+  // The held stream carries the new fix: the run in the crash region is
+  // steered exactly as execute() with the pod's FixSet steers it.
+  expect_run_matches_execute(pod, entry, {13, 222});
+  expect_run_matches_execute(pod, entry, {5, 9});
+}
+
+TEST(Pod, LoadStateWithOtherFixesFetchesTheStreamAgain) {
+  const auto entry = make_media_parser();
+  Pod fixed = make_pod(entry);
+  ASSERT_TRUE(fixed.install(media_parser_patch(entry)));
+  Bytes state;
+  fixed.save_state(state);
+
+  Pod pod = make_pod(entry);
+  pod.run_once(1);  // holds the bare stream
+  const std::uint64_t before = decode_lookups();
+  StateReader r(state);
+  ASSERT_TRUE(pod.load_state(r));
+  ASSERT_EQ(pod.fixes().guards.size(), 1u);
+  for (int i = 0; i < 10; ++i) pod.run_once(1);
+  EXPECT_EQ(decode_lookups() - before, 1u);
+  // The stream fetched again carries the loaded fix.
+  expect_run_matches_execute(pod, entry, {13, 222});
 }
 
 }  // namespace

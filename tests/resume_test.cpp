@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/softborg.h"
 #include "store/store.h"
@@ -141,12 +143,35 @@ TEST_F(ResumeTest, ConfigSkewRefused) {
   saver.step_day();
   ASSERT_TRUE(saver.save_snapshot(dir_));
 
-  WorldConfig other = resume_config();
-  other.seed = 99;  // behavioral knob changed: fingerprint must differ
-  World victim(standard_corpus(), other);
+  // Each behavioral knob changed alone: the fingerprint must differ. The
+  // proof and guidance budgets steer what the hive explores and publishes,
+  // so a resume under a changed budget would silently diverge.
+  const std::vector<std::pair<std::string, void (*)(WorldConfig&)>> skews = {
+      {"seed", [](WorldConfig& c) { c.seed = 99; }},
+      {"proof max_gap_closures",
+       [](WorldConfig& c) { c.hive.proof_budget.max_gap_closures++; }},
+      {"proof max_symbolic_paths",
+       [](WorldConfig& c) { c.hive.proof_budget.max_symbolic_paths++; }},
+      {"proof solver.max_nodes",
+       [](WorldConfig& c) { c.hive.proof_budget.solver.max_nodes++; }},
+      {"proof frontier_budget",
+       [](WorldConfig& c) { c.hive.proof_budget.frontier_budget++; }},
+      {"guidance solver.max_nodes",
+       [](WorldConfig& c) { c.hive.guidance.solver.max_nodes++; }},
+      {"guidance max_paths_per_frontier",
+       [](WorldConfig& c) { c.hive.guidance.max_paths_per_frontier++; }},
+      {"guidance frontier_budget",
+       [](WorldConfig& c) { c.hive.guidance.frontier_budget++; }},
+  };
   std::string err;
-  EXPECT_FALSE(victim.resume_from_snapshot(dir_, &err));
-  EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
+  for (const auto& [knob, skew] : skews) {
+    WorldConfig other = resume_config();
+    skew(other);
+    World victim(standard_corpus(), other);
+    err.clear();
+    EXPECT_FALSE(victim.resume_from_snapshot(dir_, &err)) << knob;
+    EXPECT_NE(err.find("fingerprint"), std::string::npos) << knob << ": " << err;
+  }
 
   // `days` is exempt: extending the horizon is a legitimate resume.
   WorldConfig longer = resume_config();
