@@ -17,10 +17,12 @@
 // far less than all-branches; with rate-r sampling per-pod cost drops ~r x
 // while the bug's site keeps rank 1 until very aggressive rates.
 //
-// Part 3: fleet telemetry overhead — the BM_ShardedPump workload pumped
-// with observability fully disabled, with counters on (the default), and
-// with counters plus span sampling. The acceptance bar (ROADMAP): counters
-// with exporters idle cost < 2% on this workload.
+// Part 3: fleet telemetry overhead — a day of fleet traffic (64 endpoints x
+// 64 runs) ingested through one Hive::ingest_batch with observability fully
+// disabled, with counters on (the default), with counters plus span
+// sampling, and with counters plus the armed flight recorder. The
+// acceptance bar (ROADMAP): counters with exporters idle, and the recorder,
+// each cost < 2% on this workload.
 #include <cstdio>
 
 #include "bench_json.h"
@@ -121,9 +123,9 @@ int main(int argc, char** argv) {
               "aggregated statistics localize the bug exactly)\n");
 
   // ---- part 3: fleet telemetry overhead ------------------------------------
-  // The BM_ShardedPump fleet workload (64 endpoints x 64 runs, 8 shards,
-  // reliable 1-tick net), pumped with telemetry fully off, with counters on
-  // (the shipping default; exporters idle), and with counters + stage spans.
+  // 64 endpoints, each re-running one corpus program on fixed inputs with a
+  // fresh scheduler seed per run (the paper's redundancy model), ingested
+  // by a fresh hive through one inline ingest_batch per pass.
   {
     const auto corpus = standard_corpus();
     std::vector<Bytes> wires;
@@ -144,67 +146,64 @@ int main(int argc, char** argv) {
         }
       }
     }
-    NetConfig net_config;
-    net_config.min_latency_ticks = 1;
-    net_config.max_latency_ticks = 1;
-    const auto pump_once = [&] {
-      SimNet net(net_config);
-      ShardedHiveConfig config;
-      config.pump_threads = 4;
-      ShardedHive hive(&corpus, 8, net, config);
-      const Endpoint client = net.add_endpoint();
-      for (const auto& w : wires) {
-        net.send(client, hive.ingress(), kMsgTrace, w);
-      }
-      for (int round = 0; round < 3; ++round) {
-        net.tick();
-        hive.pump(net);
-      }
-      return hive.aggregate_stats().traces_ingested;
+    const auto ingest_once = [&] {
+      Hive hive(&corpus);
+      hive.ingest_batch(wires);
+      return hive.stats().traces_ingested;
     };
     struct Leg {
       const char* name;
       bool counters;
       bool spans;
+      bool recorder;
     };
-    const Leg legs[] = {{"telemetry-off", false, false},
-                        {"counters-on", true, false},
-                        {"counters+spans", true, true}};
-    // Interleave the legs round-robin and keep each leg's fastest round:
-    // a single pump is ~2-3 ms, so back-to-back blocks would fold clock and
-    // allocator drift into the comparison. The minimum over interleaved
-    // rounds isolates the instrumentation cost itself.
-    const int kRounds = 12, kRepsPerRound = 5;
-    std::printf("\n# E6.3: fleet telemetry overhead on the sharded pump\n");
-    std::printf("%-16s %-12s %-12s %-10s\n", "telemetry", "millis/pump",
+    const Leg legs[] = {{"telemetry-off", false, false, false},
+                        {"counters-on", true, false, false},
+                        {"counters+spans", true, true, false},
+                        {"counters+recorder", true, false, true}};
+    constexpr int kLegs = 4;
+    // Interleave the legs round-robin and keep each leg's fastest round: a
+    // single pass is ~1 ms, so back-to-back blocks would fold clock and
+    // allocator drift into the comparison. The minimum over many
+    // interleaved rounds isolates the instrumentation cost itself; 200
+    // rounds of 10 passes kept every leg within ±1% of the off leg on a
+    // 4-thread host (EXPERIMENTS.md, E6).
+    const int kRounds = 200, kRepsPerRound = 10;
+    std::printf("\n# E6.3: fleet telemetry overhead on batch ingest\n");
+    std::printf("%-18s %-12s %-12s %-10s\n", "telemetry", "millis/pass",
                 "traces/sec", "vs off");
-    std::uint64_t ingested = pump_once();  // warm-up: pools + allocator
-    double best_ms[3] = {1e30, 1e30, 1e30};
+    const std::uint64_t ingested = ingest_once();  // warm-up: allocator
+    double best_ms[kLegs] = {1e30, 1e30, 1e30, 1e30};
     for (int round = 0; round < kRounds; ++round) {
-      for (int l = 0; l < 3; ++l) {
+      for (int l = 0; l < kLegs; ++l) {
         obs::set_enabled(legs[l].counters);
         obs::set_spans_enabled(legs[l].spans);
+        obs::set_tracing_enabled(legs[l].recorder);
+        obs::Recorder::set_enabled(legs[l].recorder);
         Timer timer;
-        for (int rep = 0; rep < kRepsPerRound; ++rep) pump_once();
+        for (int rep = 0; rep < kRepsPerRound; ++rep) ingest_once();
         const double ms = timer.elapsed_seconds() * 1e3 / kRepsPerRound;
         if (ms < best_ms[l]) best_ms[l] = ms;
       }
     }
-    for (int l = 0; l < 3; ++l) {
+    for (int l = 0; l < kLegs; ++l) {
       const double overhead =
           (best_ms[l] - best_ms[0]) / best_ms[0] * 100.0;
-      std::printf("%-16s %-12.2f %-12.0f %+.2f%%\n", legs[l].name, best_ms[l],
+      std::printf("%-18s %-12.3f %-12.0f %+.2f%%\n", legs[l].name, best_ms[l],
                   static_cast<double>(ingested) / (best_ms[l] / 1e3),
                   overhead);
-      json.add(std::string("sharded_pump/") + legs[l].name, "millis",
+      json.add(std::string("ingest_batch/") + legs[l].name, "millis",
                best_ms[l]);
-      json.add(std::string("sharded_pump/") + legs[l].name, "overhead_pct",
+      json.add(std::string("ingest_batch/") + legs[l].name, "overhead_pct",
                overhead);
     }
     obs::set_enabled(true);
     obs::set_spans_enabled(false);
-    std::printf("(acceptance bar: counters-on overhead < 2%% with exporters "
-                "idle)\n");
+    obs::set_tracing_enabled(false);
+    obs::Recorder::set_enabled(false);
+    obs::Recorder::global().clear();
+    std::printf("(acceptance bar: counters-on and recorder overhead < 2%% "
+                "with exporters idle)\n");
   }
   return json.write() ? 0 : 1;
 }

@@ -1,21 +1,20 @@
-// BM_ProofClosure — solver-result recycling and parallel proof gap closure
-// on the 64x64 fleet workload (paper §3.3: cumulative proofs; §2: the hive
+// BM_ProofClosure — solver-result recycling in proof gap closure on the
+// 64x64 fleet workload (paper §3.3: cumulative proofs; §2: the hive
 // recycles the fleet's redundant work instead of re-deriving it).
 //
 // Each iteration stands up a fresh hive, batch-ingests a day of fleet
-// traffic (64 endpoints x 64 runs — the same workload as BM_ShardedPump),
-// and then attempts a cumulative proof for every corpus program
-// (Hive::attempt_proofs_all). Only the proof sweep is timed; ingestion is
-// setup. Legs, encoded as Args({cache_mode, proof_threads}):
+// traffic (64 endpoints x 64 runs — the same workload as part 3 of
+// bench_e6_recording_overhead), and then attempts a cumulative proof for
+// every corpus program (Hive::attempt_proofs_all). Only the proof sweep is
+// timed; ingestion is setup. Legs, encoded as Arg(cache_mode):
 //
-//   cache_mode 0 — no cache: every feasibility query runs the solver.
-//   cache_mode 1 — cold cache: recycling within and across the sweep's
-//                  attempts, starting empty.
-//   cache_mode 2 — warm cache: the hive is seeded (merge_from) with the
-//                  cache a previous identical sweep accumulated — the
-//                  steady state of a long-lived hive re-proving its fleet.
-//                  The warm/cold wall-clock ratio is the recycling payoff.
-//   proof_threads — Hive::attempt_proofs_for fan-out (0 = inline).
+//   0 — no cache: every feasibility query runs the solver.
+//   1 — cold cache: recycling within and across the sweep's attempts,
+//       starting empty.
+//   2 — warm cache: the hive is seeded (merge_from) with the cache a
+//       previous identical sweep accumulated — the steady state of a
+//       long-lived hive re-proving its fleet. The warm/cold wall-clock
+//       ratio is the recycling payoff.
 //
 // Counters report solver_calls, the recycled fraction, and proofs issued;
 // methodology and measured numbers live in EXPERIMENTS.md ("BM_ProofClosure").
@@ -86,8 +85,10 @@ const std::vector<CorpusEntry>& bench_corpus() {
   return corpus;
 }
 
-// A day of fleet traffic: 64 endpoints x 64 runs (see bench_sharded_pump.cpp
-// for the redundancy rationale). Unique trace ids keep dedup out of the way.
+// A day of fleet traffic: 64 endpoints x 64 runs. Each endpoint re-runs one
+// program on fixed inputs with fresh scheduler seeds — the paper's
+// redundancy model, where many endpoints keep re-walking a small set of
+// paths. Unique trace ids keep dedup out of the way.
 const std::vector<Bytes>& fleet_workload() {
   static const std::vector<Bytes> wires = [] {
     const auto& corpus = bench_corpus();
@@ -112,10 +113,9 @@ const std::vector<Bytes>& fleet_workload() {
   return wires;
 }
 
-HiveConfig closure_config(int cache_mode, int threads) {
+HiveConfig closure_config(int cache_mode) {
   HiveConfig config;
   config.solver_cache = cache_mode != 0;
-  config.proof_threads = static_cast<std::size_t>(threads);
   return config;
 }
 
@@ -123,7 +123,7 @@ HiveConfig closure_config(int cache_mode, int threads) {
 // cold-cache sweep over identically-ingested trees.
 const SolverCache& donor_cache() {
   static const SolverCache cache = [] {
-    Hive hive(&bench_corpus(), closure_config(1, 0));
+    Hive hive(&bench_corpus(), closure_config(1));
     hive.ingest_batch(fleet_workload());
     hive.attempt_proofs_all(kProperty);
     return hive.solver_cache();
@@ -134,7 +134,6 @@ const SolverCache& donor_cache() {
 void BM_ProofClosure(benchmark::State& state) {
   const std::vector<CorpusEntry>& corpus = bench_corpus();
   const int cache_mode = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   if (cache_mode == 2) donor_cache();  // build outside the timed region
 
   std::size_t proofs = 0;
@@ -142,7 +141,7 @@ void BM_ProofClosure(benchmark::State& state) {
   std::uint64_t recycled = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Hive hive(&corpus, closure_config(cache_mode, threads));
+    Hive hive(&corpus, closure_config(cache_mode));
     hive.ingest_batch(fleet_workload());
     if (cache_mode == 2) hive.solver_cache().merge_from(donor_cache());
     state.ResumeTiming();
@@ -165,11 +164,9 @@ void BM_ProofClosure(benchmark::State& state) {
           : static_cast<double>(recycled) / static_cast<double>(solver_calls);
 }
 BENCHMARK(BM_ProofClosure)
-    ->Args({0, 0})  // no cache, serial — the pre-recycling baseline
-    ->Args({1, 0})  // cold cache, serial
-    ->Args({2, 0})  // warm cache, serial — steady-state recycling
-    ->Args({2, 2})  // warm cache, 2 workers
-    ->Args({2, 8})  // warm cache, 8 workers
+    ->Arg(0)  // no cache — the pre-recycling baseline
+    ->Arg(1)  // cold cache
+    ->Arg(2)  // warm cache — steady-state recycling
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

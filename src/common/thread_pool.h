@@ -1,9 +1,8 @@
 // Fixed-size thread pool with future-returning submission.
 //
 // Used by the portfolio solver (run several solvers on one instance and take
-// the first answer), by the hive's batch ingestion pipeline, by the sharded
-// hive's shard-parallel pump (one worker drains one shard's batch), and by
-// benches that need real parallelism. RAII: the destructor drains and joins
+// the first answer), by the hive's batch ingestion pipeline, and by benches
+// that need real parallelism. RAII: the destructor drains and joins
 // (CP.25 — never detach).
 #pragma once
 

@@ -48,7 +48,6 @@
 #include "hive/hive.h"
 #include "hive/proof.h"
 #include "hive/report.h"
-#include "hive/sharded.h"
 #include "minivm/builder.h"
 #include "minivm/corpus.h"
 #include "minivm/disasm.h"

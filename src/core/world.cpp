@@ -399,22 +399,6 @@ void World::step_day() {
   metrics.proofs_valid_total = hive_->valid_proof_count();
   metrics.proof_solver_calls_total = hive_->proof_stats().solver_calls;
   metrics.proof_solver_recycled_total = hive_->proof_stats().recycled();
-  // Distributed-transport backpressure: read (never register) the dist.*
-  // series a co-resident TraceRouter publishes; absent counters read zero.
-  {
-    const obs::MetricsSnapshot ms = obs::MetricsRegistry::global().snapshot();
-    metrics.dist_shed_total = ms.counter_value("dist.shed_total").value_or(0);
-    metrics.dist_backpressure_stalls_total =
-        ms.counter_value("dist.backpressure_stalls_total").value_or(0);
-    metrics.dist_stall_seconds = static_cast<double>(ms.counter_value(
-                                     "dist.stall_us_total").value_or(0)) /
-                                 1e6;
-    for (const auto& g : ms.gauges) {
-      if (g.name == "dist.queue_depth_peak" && g.value > 0) {
-        metrics.dist_queue_depth_peak = static_cast<std::uint64_t>(g.value);
-      }
-    }
-  }
   // Feed the yield ledger at this serial barrier, in both planning modes
   // (static runs keep warm estimates for a later flip to adaptive). Inputs
   // are the deterministic stats structs and tree aggregates — never the
@@ -582,10 +566,6 @@ bool World::save_snapshot(const std::string& dir, std::string* err) const {
       for (const std::uint64_t runs : m.coop_runs_by_strategy) {
         put_varint(w, runs);
       }
-      put_varint(w, m.dist_shed_total);
-      put_varint(w, m.dist_backpressure_stalls_total);
-      put_varint(w, m.dist_queue_depth_peak);
-      put_f64(w, m.dist_stall_seconds);
     }
     parts.push_back({"world", std::move(w)});
   }
@@ -688,7 +668,7 @@ bool World::resume_from_snapshot(const std::string& dir, std::string* err) {
       pending_rollouts_.push_back(std::move(pr));
     }
     history_.clear();
-    const std::uint64_t n_days = r.count(29);
+    const std::uint64_t n_days = r.count(25);
     history_.reserve(n_days);
     for (std::uint64_t i = 0; i < n_days && r.ok(); ++i) {
       DayMetrics m;
@@ -715,10 +695,6 @@ bool World::resume_from_snapshot(const std::string& dir, std::string* err) {
       m.coop_wasted_steps = r.u64();
       m.coop_idle_ticks = r.u64();
       for (std::uint64_t& runs : m.coop_runs_by_strategy) runs = r.u64();
-      m.dist_shed_total = r.u64();
-      m.dist_backpressure_stalls_total = r.u64();
-      m.dist_queue_depth_peak = r.u64();
-      m.dist_stall_seconds = r.f64();
       history_.push_back(m);
     }
     if (!r.done()) return set_err("world part malformed");

@@ -49,9 +49,8 @@ struct WorldConfig {
   std::size_t guidance_per_program_per_day = 0;
   // Proof gap closure: each day the hive attempts cumulative proofs for this
   // many programs (a rotating corpus slice, so the whole fleet is swept every
-  // ceil(corpus / n) days); 0 disables. Attempts fan out on
-  // HiveConfig::proof_threads and recycle solver results when
-  // HiveConfig::solver_cache is on.
+  // ceil(corpus / n) days); 0 disables. Attempts recycle solver results
+  // when HiveConfig::solver_cache is on.
   std::size_t proof_programs_per_day = 0;
   Property proof_property = Property::kNeverCrashes;
   // Adaptive control plane (hive/adapt.h). With the default
@@ -133,16 +132,6 @@ struct DayMetrics {
   std::uint64_t coop_wasted_steps = 0;
   std::uint64_t coop_idle_ticks = 0;
   std::array<std::uint64_t, 3> coop_runs_by_strategy{};  // by PartitionStrategy
-  // Distributed-transport backpressure (src/dist), mirrored from the global
-  // registry's dist.* series: cumulative traces shed by admission control,
-  // pump rounds stalled on a zero-credit shard, the deepest any bounded
-  // queue has run, and total wall time spent stalled. All zero in a purely
-  // in-process fleet, so resume differentials on non-distributed runs are
-  // unaffected.
-  std::uint64_t dist_shed_total = 0;
-  std::uint64_t dist_backpressure_stalls_total = 0;
-  std::uint64_t dist_queue_depth_peak = 0;
-  double dist_stall_seconds = 0.0;
 
   bool operator==(const DayMetrics&) const = default;
 };

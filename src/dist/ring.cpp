@@ -8,8 +8,8 @@ namespace softborg::dist {
 
 namespace {
 
-// SplitMix64 finalizer: the same avalanche ShardedHive::shard_index uses,
-// so placement quality is a known quantity.
+// SplitMix64 finalizer, a well-studied avalanche, so placement quality is a
+// known quantity.
 std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;

@@ -1,10 +1,10 @@
 // Consistent-hash ring for trace routing (ISSUE 9 tentpole).
 //
-// ShardedHive's in-process router owns a fixed shard set, so plain
-// mod-hashing is fine there. The distributed router must support adding
-// shard processes to a live fleet: mod-hashing re-keys nearly every
-// program, invalidating every shard's accumulated trees at once, while a
-// consistent ring moves only ~1/(n+1) of the key space to the newcomer.
+// The router must support adding shard processes to a live fleet:
+// mod-hashing would re-key nearly every program, invalidating every shard's
+// accumulated trees at once, while a consistent ring moves only ~1/(n+1) of
+// the key space to the newcomer. The ring is the hive's only routing
+// function: in-process SimNet fleets and socket fleets both route by it.
 // Each shard projects `vnodes_per_shard` points onto the 64-bit ring
 // (splitmix-mixed, so placement is deterministic and well spread); a key is
 // owned by the first point clockwise from its hash.

@@ -30,9 +30,9 @@ ShardWorker::ShardWorker(std::size_t index,
 }
 
 void ShardWorker::build_hive() {
-  // Same per-shard layout as ShardedHive: disjoint fix/proof id blocks and
-  // a per-shard seed, so a distributed fleet and an in-process one
-  // synthesize identically-numbered artifacts.
+  // Disjoint fix/proof id blocks and a per-shard seed, so no two shards hand
+  // out the same id, and a socket fleet and an in-process one synthesize
+  // identically-numbered artifacts.
   HiveConfig hive_config = config_.hive;
   hive_config.fixer.next_fix_id = 1 + index_ * 1'000'000;
   hive_config.next_proof_id = 1 + index_ * 1'000'000;

@@ -1,9 +1,10 @@
 // Shard worker for the multi-process distributed hive (ISSUE 9 tentpole).
 //
-// One ShardWorker owns one Hive — the same per-shard layout as
-// hive/sharded.h (disjoint fix/proof id blocks, per-shard seed), but living
-// in its own OS process and fed over a Channel instead of a SimNet
-// endpoint. The worker's loop:
+// One ShardWorker owns one Hive with the shard's disjoint fix/proof id
+// blocks and per-shard seed (build_hive holds the one copy of that scheme).
+// It runs in its own OS process over a SocketChannel, or in-process over a
+// SimNetChannel — the in-process N-shard fleet is N workers behind one
+// TraceRouter. The worker's loop:
 //
 //   poll → admit into a bounded ingress queue (admission control sheds the
 //   lowest-priority traffic when full) → ingest_batch up to batch_max →
@@ -54,10 +55,9 @@ struct WorkerConfig {
 
 class ShardWorker {
  public:
-  // `corpus` must outlive the worker. The shard's Hive gets the same
-  // disjoint id blocks and per-shard seed ShardedHive would give shard
-  // `index`, so a distributed fleet and an in-process one synthesize
-  // identically-numbered artifacts.
+  // `corpus` must outlive the worker. The shard's Hive gets disjoint id
+  // blocks and a per-shard seed derived from `index`, so a socket fleet and
+  // an in-process one synthesize identically-numbered artifacts.
   ShardWorker(std::size_t index, const std::vector<CorpusEntry>* corpus,
               WorkerConfig config);
 

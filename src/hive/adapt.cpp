@@ -61,19 +61,6 @@ const YieldLedger::EquityEstimate* YieldLedger::equity(
   return it == equities_.end() ? nullptr : &it->second;
 }
 
-void YieldLedger::observe_shard_pump(std::size_t shard, double seconds) {
-  if (shard >= shard_load_.size()) shard_load_.resize(shard + 1, 0.0);
-  if (shard_load_[shard] == 0.0) {
-    shard_load_[shard] = seconds;
-  } else {
-    ewma(shard_load_[shard], seconds);
-  }
-}
-
-double YieldLedger::shard_load(std::size_t shard) const {
-  return shard < shard_load_.size() ? shard_load_[shard] : 0.0;
-}
-
 void YieldLedger::observe_hive(const IngestStats& ingest,
                                const Hive::ProofClosureStats& proof) {
   const std::uint64_t hits = ingest.replay_cache_hits - replay_hits_base_;
@@ -142,8 +129,6 @@ void YieldLedger::save_planning_state(Bytes& out) const {
 
 void YieldLedger::save_state(Bytes& out) const {
   save_planning_state(out);
-  put_varint(out, shard_load_.size());
-  for (const double load : shard_load_) put_f64(out, load);
   put_f64(out, replay_recycle_rate_);
   put_f64(out, solver_recycle_rate_);
   put_varint(out, replay_hits_base_);
@@ -155,7 +140,6 @@ void YieldLedger::save_state(Bytes& out) const {
 bool YieldLedger::load_state(StateReader& r) {
   programs_.clear();
   equities_.clear();
-  shard_load_.clear();
   const std::uint64_t n_programs = r.count(8);
   std::uint64_t prev_key = 0;
   for (std::uint64_t i = 0; i < n_programs && r.ok(); ++i) {
@@ -192,11 +176,6 @@ bool YieldLedger::load_state(StateReader& r) {
     eq.dev = r.f64();
     eq.units = r.u64();
     equities_[key] = eq;
-  }
-  const std::uint64_t n_shards = r.count();
-  shard_load_.reserve(n_shards);
-  for (std::uint64_t i = 0; i < n_shards && r.ok(); ++i) {
-    shard_load_.push_back(r.f64());
   }
   replay_recycle_rate_ = r.f64();
   solver_recycle_rate_ = r.f64();
@@ -301,25 +280,6 @@ std::vector<std::size_t> AdaptivePlanner::rank(
     return a < b;
   });
   return order;
-}
-
-double AdaptivePlanner::shard_scale(const YieldLedger& ledger,
-                                    std::size_t shard) const {
-  const std::size_t n = ledger.num_shards_seen();
-  if (n == 0) return 1.0;
-  double total = 0.0;
-  std::size_t with_load = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double load = ledger.shard_load(i);
-    if (load > 0.0) {
-      total += load;
-      with_load++;
-    }
-  }
-  const double own = ledger.shard_load(shard);
-  if (with_load == 0 || own <= 0.0) return 1.0;
-  const double mean = total / static_cast<double>(with_load);
-  return std::clamp(mean / own, 0.5, 2.0);
 }
 
 }  // namespace softborg

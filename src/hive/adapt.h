@@ -14,11 +14,11 @@
 //
 //  * YieldLedger — the fleet's memory of where work has paid off. It is fed
 //    ONLY at serial publication barriers (end of World::step_day, the
-//    ShardedHive pump barrier, the coop-run epilogue), so pipeline hot paths
-//    carry no new cost and ledger state is a pure function of the
-//    deterministic stats structs — byte-identical across `pump_threads` and
-//    proof worker counts, and serializable through the PR 7 store so a
-//    resumed run keeps its learned allocation.
+//    coop-run epilogue), so pipeline hot paths carry no new cost and ledger
+//    state is a pure function of the deterministic stats structs —
+//    byte-identical across ingest worker counts, and serializable through
+//    the snapshot store (src/store) so a resumed run keeps its learned
+//    allocation.
 //
 //  * AdaptivePlanner — the paper's allocation rule over ledger estimates:
 //    score = (ewma_return + optimism/√(1+n)) / (1 + risk_aversion·relative
@@ -30,9 +30,7 @@
 //     proof-attempt slice, and cooperative-exploration worker investment;
 //   - run_cooperative_exploration seeds its portfolio equity estimates from
 //     the ledger instead of starting cold every run, and writes observed
-//     subtree costs back;
-//   - ShardedHive scales per-shard guidance budgets by measured pump load
-//     (hot shards shed planning work to cold ones).
+//     subtree costs back.
 #pragma once
 
 #include <cstdint>
@@ -112,21 +110,13 @@ class YieldLedger {
   };
   const EquityEstimate* equity(ProgramId program, std::uint64_t key) const;
 
-  // --- shard load ----------------------------------------------------------
-  // EWMA of per-shard pump wall seconds (fed after the pump barrier; wall
-  // time is telemetry, so this estimate — unlike everything above — is not
-  // deterministic across hosts; consumers use it only for load shedding).
-  void observe_shard_pump(std::size_t shard, double seconds);
-  double shard_load(std::size_t shard) const;
-  std::size_t num_shards_seen() const { return shard_load_.size(); }
-
   // --- fleet-level recycling signals ---------------------------------------
   // Deltas of the hive's serial pipeline/proof stats (the same structs the
   // obs layer publishes from; baselines are kept internally). Updates the
   // fleet-wide replay- and solver-recycling EWMAs. These are ADVISORY
-  // telemetry, like shard loads: the replay cache is deliberately ephemeral
-  // (a resumed hive re-replays cold), so the post-resume hit/miss stream —
-  // and therefore this EWMA — differs from an uninterrupted run's. The
+  // telemetry: the replay cache is deliberately ephemeral (a resumed hive
+  // re-replays cold), so the post-resume hit/miss stream — and therefore
+  // this EWMA — differs from an uninterrupted run's. The
   // allocation rule never reads them; only the program/equity estimates
   // (planning_state_equals) carry the bit-identical resume guarantee.
   void observe_hive(const IngestStats& ingest,
@@ -146,9 +136,8 @@ class YieldLedger {
   // Byte equality of the allocation inputs alone — per-program and
   // per-equity estimates. This is the resume differential's surface: every
   // AdaptivePlanner decision is a pure function of it, so equal planning
-  // state means equal schedules, while the advisory signals (recycle-rate
-  // EWMAs, shard loads) may differ across a kill/resume without any
-  // behavioral divergence.
+  // state means equal schedules, while the advisory recycle-rate EWMAs may
+  // differ across a kill/resume without any behavioral divergence.
   bool planning_state_equals(const YieldLedger& other) const;
 
  private:
@@ -169,7 +158,6 @@ class YieldLedger {
   // deterministic regardless of insertion history.
   std::map<std::uint64_t, ProgramState> programs_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, EquityEstimate> equities_;
-  std::vector<double> shard_load_;
   double replay_recycle_rate_ = 0.0;
   double solver_recycle_rate_ = 0.0;
   std::uint64_t replay_hits_base_ = 0, replay_misses_base_ = 0;
@@ -203,12 +191,6 @@ class AdaptivePlanner {
   // program picks).
   std::vector<std::size_t> rank(const std::vector<ProgramId>& targets,
                                 const YieldLedger& ledger) const;
-
-  // Guidance-budget multiplier for one shard: mean pump load over the
-  // shard's load, clamped to [0.5, 2] — hot shards shed planning work to
-  // cold ones without any shard going dark. 1.0 when the ledger has no load
-  // samples yet.
-  double shard_scale(const YieldLedger& ledger, std::size_t shard) const;
 
  private:
   AdaptConfig config_;

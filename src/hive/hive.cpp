@@ -18,12 +18,12 @@ namespace softborg {
 
 namespace {
 // Hive telemetry mirroring HiveStats / IngestStats / ProofClosureStats into
-// the process-wide registry, so a sharded fleet reports one aggregate view.
-// The pipeline never touches these counters per event: publish_metrics()
-// pushes the stats-struct deltas at serial boundaries (end of a trace or
-// batch ingest, the certificate barrier, process()). The stats structs are
-// deterministic across worker counts — the differential suites pin this —
-// so the counters are too (see DESIGN.md, "Observability").
+// the process-wide registry, so all hives of a process report one aggregate
+// view. The pipeline never touches these counters per event:
+// publish_metrics() pushes the stats-struct deltas at serial boundaries (end
+// of a trace or batch ingest, each proof attempt, process()). The stats
+// structs are deterministic across worker counts — the differential suites
+// pin this — so the counters are too (see DESIGN.md, "Observability").
 struct HiveMetrics {
   obs::Counter& traces_ingested = obs::MetricsRegistry::global().counter(
       "hive.traces_ingested_total");
@@ -658,17 +658,6 @@ ProofCertificate Hive::attempt_proof(ProgramId program, Property property) {
   ProofCertificate cert =
       prover_.attempt(*entry, it->second, property, config_.proof_budget,
                       config_.solver_cache ? &solver_cache_ : nullptr);
-  record_certificate(cert);
-  if (obs::Recorder::enabled()) {
-    // Closes the causal chain: inherits the worker thread's trace context
-    // (set while processing the batch that triggered this proof attempt).
-    obs::Recorder::record(obs::EventKind::kProofClose, {},
-                          cert.publishable() ? 1u : 0u, cert.solver_calls);
-  }
-  return cert;
-}
-
-void Hive::record_certificate(const ProofCertificate& cert) {
   if (cert.publishable()) proofs_.push_back({cert, false});
   proof_stats_.attempts++;
   if (cert.publishable()) proof_stats_.publishable++;
@@ -677,10 +666,16 @@ void Hive::record_certificate(const ProofCertificate& cert) {
   proof_stats_.solver_cache_hits += cert.solver_cache_hits;
   proof_stats_.solver_unsat_subsumed += cert.solver_unsat_subsumed;
   proof_stats_.solver_models_reused += cert.solver_models_reused;
-  // Solver-tier telemetry publishes here, at the serial corpus-order
-  // barrier every proof path funnels through, never from worker threads:
+  // Solver-tier telemetry publishes here, where every proof attempt ends:
   // the certificates are deterministic, so so are these counters.
   publish_metrics();
+  if (obs::Recorder::enabled()) {
+    // Closes the causal chain: inherits the worker thread's trace context
+    // (set while processing the batch that triggered this proof attempt).
+    obs::Recorder::record(obs::EventKind::kProofClose, {},
+                          cert.publishable() ? 1u : 0u, cert.solver_calls);
+  }
+  return cert;
 }
 
 void Hive::publish_metrics() {
@@ -769,14 +764,6 @@ void Hive::publish_metrics() {
   }
 }
 
-ThreadPool* Hive::proof_pool() {
-  if (config_.proof_threads <= 1) return nullptr;
-  if (proof_pool_ == nullptr) {
-    proof_pool_ = std::make_unique<ThreadPool>(config_.proof_threads);
-  }
-  return proof_pool_.get();
-}
-
 std::vector<ProofCertificate> Hive::attempt_proofs_all(Property property) {
   std::vector<const CorpusEntry*> entries;
   entries.reserve(corpus_->size());
@@ -787,42 +774,11 @@ std::vector<ProofCertificate> Hive::attempt_proofs_all(Property property) {
 std::vector<ProofCertificate> Hive::attempt_proofs_for(
     const std::vector<const CorpusEntry*>& entries, Property property) {
   SB_SPAN("hive.proof.sweep");
-  // Trees are created serially so the attempts never mutate the map; the
-  // map is node-based, so the references stay stable across later inserts.
-  std::vector<ExecTree*> trees(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    SB_CHECK(entries[i] != nullptr);
-    trees[i] = &trees_.try_emplace(entries[i]->program.id.value,
-                                   entries[i]->program.id)
-                    .first->second;
-  }
-
-  // Pre-assigned ids: attempt i issues exactly the ProofId a serial loop
-  // would have, whatever order the workers finish in.
-  const std::uint64_t id_base = prover_.next_id();
-  prover_.advance_ids(entries.size());
-
-  // Each attempt runs against its own snapshot of the shared cache (the
-  // cache is not thread-safe, and attempts must not observe each other's
-  // in-flight inserts, or results would depend on scheduling). Snapshots
-  // are used even on the inline path so serial == parallel by construction.
-  const bool use_cache = config_.solver_cache;
-  std::vector<SolverCache> caches;
-  if (use_cache) caches.assign(entries.size(), solver_cache_);
-
-  std::vector<ProofCertificate> certs(entries.size());
-  parallel_for(proof_pool(), entries.size(), [&](std::size_t i) {
-    ProofEngine local(id_base + i);
-    certs[i] = local.attempt(*entries[i], *trees[i], property,
-                             config_.proof_budget,
-                             use_cache ? &caches[i] : nullptr);
-  });
-
-  // Barrier: merge the snapshots back and publish, both in corpus order —
-  // the merged cache and the proof log are deterministic.
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (use_cache) solver_cache_.merge_from(caches[i]);
-    record_certificate(certs[i]);
+  std::vector<ProofCertificate> certs;
+  certs.reserve(entries.size());
+  for (const CorpusEntry* entry : entries) {
+    SB_CHECK(entry != nullptr);
+    certs.push_back(attempt_proof(entry->program.id, property));
   }
   return certs;
 }

@@ -68,11 +68,7 @@ struct HiveConfig {
   // and guidance planning route feasibility queries through a hive-wide
   // cache so constraints proven once are never re-solved.
   bool solver_cache = true;
-  // Worker threads for attempt_proofs_all/_for; <= 1 runs the sweep inline
-  // on the caller. Deliberately not capped at the hardware concurrency so
-  // determinism tests can exercise real interleavings at high counts.
-  std::size_t proof_threads = 0;
-  // First ProofId this hive issues (ShardedHive gives each shard a disjoint
+  // First ProofId this hive hands out (ShardWorker gives each shard a disjoint
   // block, mirroring FixerConfig::next_fix_id).
   std::uint64_t next_proof_id = 1;
   FixerConfig fixer;
@@ -149,22 +145,18 @@ class Hive {
   // programs, schedule plans for multi-threaded ones).
   std::vector<GuidanceDirective> plan_guidance(std::size_t per_program);
 
-  // The per-program slice of plan_guidance: directives for `entry` only.
-  // ShardedHive uses this to plan exactly the programs a shard owns instead
-  // of planning the whole corpus and discarding the unowned directives.
+  // The per-program slice of plan_guidance: directives for `entry` only, so
+  // a caller can plan a subset of the corpus without planning all of it.
   std::vector<GuidanceDirective> plan_guidance_for(const CorpusEntry& entry,
                                                    std::size_t per_program);
 
   // Attempts a cumulative proof for one program.
   ProofCertificate attempt_proof(ProgramId program, Property property);
 
-  // Proof gap closure for the whole corpus (or an explicit program slice),
-  // fanned out on `proof_threads` workers. Programs own disjoint trees, so
-  // the attempts need no locks; each attempt runs against a snapshot copy of
-  // the shared solver cache and the snapshots merge back in corpus order at
-  // the barrier, so certificates, trees, and the merged cache are identical
-  // for every worker count (including the inline <= 1 path). Certificates
-  // come back in corpus order; publishable ones are published in that order.
+  // Proof gap closure for the whole corpus (or an explicit program slice):
+  // attempt_proof on each entry in order, so an attempt recycles what the
+  // earlier attempts of the same sweep put in the solver cache. Certificates
+  // come back in entry order; publishable ones are published in that order.
   std::vector<ProofCertificate> attempt_proofs_all(Property property);
   std::vector<ProofCertificate> attempt_proofs_for(
       const std::vector<const CorpusEntry*>& entries, Property property);
@@ -295,16 +287,10 @@ class Hive {
   // at the hardware concurrency: extra workers beyond physical cores only
   // add context switches on the pure-CPU decode/replay stages.
   ThreadPool* ingest_pool();
-  // Null when proof_threads <= 1 (sweeps run inline). Unlike ingest_pool,
-  // not capped: see HiveConfig::proof_threads.
-  ThreadPool* proof_pool();
-  // Publishes `cert` if publishable and folds its telemetry into
-  // proof_stats_; shared by attempt_proof and the sweep barrier.
-  void record_certificate(const ProofCertificate& cert);
   // Pushes the deltas of stats_ / ingest_stats_ / proof_stats_ accumulated
   // since the last publication into the process-wide registry. Called at
-  // serial boundaries only (end of a trace/batch ingest, the certificate
-  // barrier, process()) so the pipeline hot paths carry no telemetry cost
+  // serial boundaries only (end of a trace/batch ingest, each proof attempt,
+  // process()) so the pipeline hot paths carry no telemetry cost
   // and the counters stay deterministic across worker counts (DESIGN.md,
   // "Observability").
   void publish_metrics();
@@ -359,7 +345,6 @@ class Hive {
   std::mutex replay_mu_;
   ReplayCache replay_cache_;
   std::unique_ptr<ThreadPool> ingest_pool_;  // lazily created
-  std::unique_ptr<ThreadPool> proof_pool_;   // lazily created
 
   SolverCache solver_cache_;
   ProofClosureStats proof_stats_;

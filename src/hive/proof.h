@@ -109,13 +109,9 @@ class ProofEngine {
                            Property property, const ProofBudget& budget = {},
                            SolverCache* cache = nullptr);
 
-  // Id bookkeeping for parallel sweeps: Hive::attempt_proofs_for assigns
-  // each program `next_id() + its corpus position` up front (local engines
-  // issue the pre-assigned ids), then advances this engine past the block —
-  // so ids match what a serial loop over the same programs would issue.
+  // Durable-store save/restore: a resumed hive continues the saved id
+  // sequence.
   std::uint64_t next_id() const { return next_id_; }
-  void advance_ids(std::uint64_t n) { next_id_ += n; }
-  // Durable-store restore: a resumed hive continues the saved id sequence.
   void set_next_id(std::uint64_t id) { next_id_ = id; }
 
  private:

@@ -719,9 +719,9 @@ int Machine::pick_next_thread() {
 }
 
 // Fleet-wide interpreter telemetry. Only deterministic sums go here (the
-// sharded differential suites pin counter snapshots byte-identical across
-// worker counts); predecode cache hit rates are schedule-dependent and stay
-// in PredecodeCacheStats.
+// ingest_batch differential suite pins counter snapshots byte-identical
+// across worker counts); predecode cache hit rates are schedule-dependent
+// and stay in PredecodeCacheStats.
 struct VmMetrics {
   obs::Counter& instrs =
       obs::MetricsRegistry::global().counter("minivm.instrs_executed_total");

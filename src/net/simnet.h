@@ -15,9 +15,20 @@
 #include "common/rng.h"
 #include "common/state_wire.h"
 #include "common/varint.h"
-#include "net/transport.h"
 
 namespace softborg {
+
+// Endpoints are small dense indices handed out by SimNet::add_endpoint().
+using Endpoint = std::uint64_t;
+
+struct Message {
+  Endpoint from = 0;
+  Endpoint to = 0;
+  std::uint32_t type = 0;
+  Bytes payload;
+  std::uint64_t sent_tick = 0;
+  std::uint64_t deliver_tick = 0;
+};
 
 struct NetConfig {
   double drop_prob = 0.0;
@@ -51,26 +62,27 @@ struct NetStats {
   bool operator==(const NetStats&) const = default;
 };
 
-class SimNet : public Transport {
+class SimNet {
  public:
   explicit SimNet(NetConfig config = {})
       : config_(config), rng_(config.seed) {}
 
-  Endpoint add_endpoint() override;
+  Endpoint add_endpoint();
   std::size_t num_endpoints() const { return inboxes_.size(); }
 
-  // Queues a message; it may be dropped, duplicated, or delayed.
-  void send(Endpoint from, Endpoint to, std::uint32_t type,
-            Bytes payload) override;
+  // Queues a message; it may be dropped, duplicated, or delayed. The net
+  // owns the payload from here on and moves it end to end (see
+  // NetStats::payloads_copied).
+  void send(Endpoint from, Endpoint to, std::uint32_t type, Bytes payload);
 
-  // Advances time by one tick, moving due messages into inboxes.
+  // Advances time by one tick, moving due messages into inboxes. Nothing
+  // moves between ticks.
   void tick();
-  // Transport::step — a SimNet makes progress one tick at a time.
-  void step() override { tick(); }
   std::uint64_t now() const { return now_; }
 
-  // Removes and returns everything delivered to `ep` so far.
-  std::vector<Message> drain(Endpoint ep) override;
+  // Removes and returns everything delivered to `ep` so far, in delivery
+  // order.
+  std::vector<Message> drain(Endpoint ep);
 
   // Bidirectional partition control between two endpoints.
   void set_partitioned(Endpoint a, Endpoint b, bool blocked);

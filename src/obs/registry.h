@@ -4,18 +4,18 @@
 //
 // Design rules:
 //
-//  * Counters are per-thread-sharded atomics: the shard-parallel pump and
-//    the proof pool record without contention (each thread owns a cache
-//    line; value() sums the stripes). Because a counter's value is the sum
-//    of a multiset of increments — and the differential suites pin that the
-//    work performed is identical for every worker count — counter snapshots
-//    are byte-identical across `pump_threads` and proof worker counts.
-//    Count-type metrics may therefore be asserted in tests; timing metrics
-//    (histograms fed by SB_SPAN) are exported but never asserted.
+//  * Counters are per-thread-sharded atomics: the ingest pool's workers
+//    record without contention (each thread owns a cache line; value() sums
+//    the stripes). Because a counter's value is the sum of a multiset of
+//    increments — and the differential suites pin that the work performed
+//    is identical for every worker count — counter snapshots are
+//    byte-identical across `ingest_threads`. Count-type metrics may
+//    therefore be asserted in tests; timing metrics (histograms fed by
+//    SB_SPAN) are exported but never asserted.
 //
 //  * Snapshots are deterministic: metrics are kept name-sorted, and
 //    counters_text() renders counters alone as stable "name value" lines —
-//    the byte-identity surface the sharded-pump differential suite compares.
+//    the byte-identity surface the ingest_batch differential suite compares.
 //
 //  * Delta reads: delta_snapshot() returns counter values since the
 //    previous delta_snapshot() (gauges and histograms report their current
@@ -47,7 +47,8 @@
 namespace softborg::obs {
 
 // Monotonic event count, striped across cache-line-sized cells so
-// concurrent writers (pump workers, proof workers) never share a line.
+// concurrent writers (such as the ingest pool's workers) never share a
+// line.
 class Counter {
  public:
   void add(std::uint64_t n = 1) {

@@ -38,8 +38,8 @@
 // status (tree growth, certificates) are unaffected; consumers of the model
 // get a different-but-valid point of the same box.
 //
-// Not thread-safe. Parallel closure gives each worker a snapshot copy and
-// merges the copies back deterministically at the barrier (merge_from).
+// Not thread-safe: one hive's proof attempts and guidance planning use it
+// from one thread.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +110,7 @@ class SolverCache {
   // Deterministic union: adopts every entry of `other` this cache lacks, in
   // `other`'s storage order (exact slots by index, rings front to back).
   // Contents only — `other`'s counters describe its own traffic and are not
-  // added. This is the barrier step of parallel proof closure: workers run
-  // on snapshot copies, and the copies merge back in corpus order.
+  // added. Seeds one hive's cache with results another hive accumulated.
   void merge_from(const SolverCache& other);
 
   std::size_t size() const { return exact_count_; }

@@ -25,9 +25,9 @@ bool decode_trace_into(Trace& out, const Bytes& bytes);
 // replay_key(*decode_trace(w)) — see codec tests. The hive's batch pipeline
 // uses this to defer full decoding (vector payloads) to the consumers that
 // need it: cache-missing replay, bug tracking of failures, the gate.
-// ShardedHive's ingress routes on `program` from this same peek, so the
-// route step validates without ever materializing a payload, and a wire
-// that summarizes here is guaranteed to decode at the owning shard.
+// dist::TraceRouter routes on `program` from this same peek, so the route
+// step validates without ever materializing a payload, and a wire that
+// summarizes here is guaranteed to decode at the owning shard.
 struct TraceWireSummary {
   TraceId id{0};
   ProgramId program{0};

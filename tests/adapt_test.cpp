@@ -1,8 +1,8 @@
 // Adaptive control plane (hive/adapt.h): ledger estimation and persistence,
 // the allocation rule's determinism and optimism, plan_schedules /
 // plan_frontier determinism (the property the adaptive rebalancer leans
-// on), coop outcome surfacing, ledger-seeded coop priors, shard load
-// shedding, and the adaptive kill-and-resume differential.
+// on), coop outcome surfacing, ledger-seeded coop priors, and the adaptive
+// kill-and-resume differential.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -68,8 +68,6 @@ TEST(YieldLedger, PersistenceRoundTripsEveryField) {
   ledger.observe_program(pid(3), 9, 1, false);
   ledger.observe_program(pid(7), 100, 0, true);
   ledger.observe_equity(pid(3), YieldLedger::equity_key(4, true), 12.5, 3);
-  ledger.observe_shard_pump(0, 0.002);
-  ledger.observe_shard_pump(2, 0.004);
   IngestStats ing;
   ing.replay_cache_hits = 8;
   ing.replay_cache_misses = 2;
@@ -177,20 +175,6 @@ TEST(AdaptivePlanner, OptimismFundsTheUnexplored) {
   EXPECT_GT(planner.score(ledger, pid(2)), planner.score(ledger, pid(1)));
   const auto order = planner.rank({pid(1), pid(2)}, ledger);
   EXPECT_EQ(order[0], 1u);
-}
-
-TEST(AdaptivePlanner, ShardScaleShedsHotShards) {
-  YieldLedger ledger;
-  AdaptivePlanner planner;
-  EXPECT_DOUBLE_EQ(planner.shard_scale(ledger, 0), 1.0);  // no samples yet
-  ledger.observe_shard_pump(0, 0.010);  // hot
-  ledger.observe_shard_pump(1, 0.002);  // cold
-  const double hot = planner.shard_scale(ledger, 0);
-  const double cold = planner.shard_scale(ledger, 1);
-  EXPECT_LT(hot, 1.0);
-  EXPECT_GT(cold, 1.0);
-  EXPECT_GE(hot, 0.5);
-  EXPECT_LE(cold, 2.0);
 }
 
 // --- satellite: planner determinism ------------------------------------------

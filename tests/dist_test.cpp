@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "common/state_wire.h"
 #include "dist/bounded_queue.h"
 #include "dist/channel.h"
 #include "dist/control.h"
@@ -30,6 +31,7 @@
 #include "minivm/interp.h"
 #include "net/simnet.h"
 #include "trace/codec.h"
+#include "tree/tree_codec.h"
 
 namespace softborg::dist {
 namespace {
@@ -244,7 +246,7 @@ LegResult run_simnet_leg(const std::vector<CorpusEntry>& corpus,
     workers.back()->send_hello(*worker_ch.back());
   }
   auto round = [&] {
-    net.step();
+    net.tick();
     router.pump();
     for (std::size_t i = 0; i < num_shards; ++i) {
       workers[i]->pump(*worker_ch[i]);
@@ -292,6 +294,112 @@ TEST(DistFleet, RepeatRunsAreByteIdentical) {
                     run_simnet_leg(corpus, wires, 2, 2));
 }
 
+// Every closing tree of a shard (a Hive::save_trees wire) must survive the
+// legacy v1 tree wire: decode, re-encode under kV1, decode again, with
+// operator== holding throughout and the v1 rendering itself byte-stable.
+void expect_v1_round_trip(const Bytes& trees_wire, std::size_t shard) {
+  StateReader r(trees_wire);
+  const std::uint64_t n = r.count(2);
+  for (std::uint64_t k = 0; k < n && r.ok(); ++k) {
+    const std::uint64_t program = r.u64();
+    Bytes wire;
+    r.blob(wire);
+    const auto v2 = decode_tree(wire);
+    ASSERT_TRUE(v2.has_value()) << "shard " << shard << " program " << program;
+    const Bytes v1_wire = v2->encode(ExecTree::WireVersion::kV1);
+    const auto v1 = decode_tree(v1_wire);
+    ASSERT_TRUE(v1.has_value()) << "shard " << shard << " program " << program;
+    EXPECT_TRUE(*v1 == *v2) << "shard " << shard << " program " << program;
+    EXPECT_EQ(v1->encode(ExecTree::WireVersion::kV1), v1_wire);
+  }
+  EXPECT_TRUE(r.done()) << "shard " << shard << " trees wire malformed";
+}
+
+// The serial oracle: each shard of a batch-ingesting fleet must equal a
+// fresh ShardWorker replica whose hive took, one wire at a time through
+// ingest_bytes, exactly the wires the ring assigns to that shard — so the
+// ring delivers every trace to its owner, the batch pipeline behind the
+// router equals serial ingestion, and one shard is just a central hive.
+TEST(DistFleet, ShardsMatchSerialOraclePerRingPartition) {
+  const auto corpus = standard_corpus();
+  auto wires = make_workload(corpus, 384, 3);
+  wires.push_back(wires[10]);  // duplicates: dropped by the owning shard
+  wires.insert(wires.begin() + 100, Bytes{0xde, 0xad});  // malformed
+  wires.push_back(wires[250]);
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    SCOPED_TRACE(shards);
+    const LegResult leg = run_simnet_leg(corpus, wires, shards, 2);
+    EXPECT_EQ(leg.router.received, wires.size());
+    EXPECT_EQ(leg.router.routing_failures, 1u);
+    EXPECT_EQ(leg.router.forwarded, wires.size() - 1);
+    EXPECT_EQ(leg.router.shed, 0u);
+
+    HashRing ring(shards);
+    std::vector<std::unique_ptr<ShardWorker>> replicas;
+    for (std::size_t i = 0; i < shards; ++i) {
+      replicas.push_back(std::make_unique<ShardWorker>(i, &corpus,
+                                                       WorkerConfig{}));
+    }
+    for (const Bytes& wire : wires) {
+      const auto summary = summarize_trace_wire(wire);
+      if (!summary) continue;  // the router never forwards it
+      replicas[ring.owner(summary->program.value)]->hive().ingest_bytes(wire);
+    }
+
+    std::uint64_t ingested = 0, duplicates = 0;
+    ASSERT_EQ(leg.trees.size(), shards);
+    for (std::size_t i = 0; i < shards; ++i) {
+      Bytes oracle_trees;
+      replicas[i]->hive().save_trees(oracle_trees);
+      EXPECT_EQ(leg.trees[i], oracle_trees) << "shard " << i;
+      EXPECT_TRUE(leg.stats[i].hive == replicas[i]->hive().stats())
+          << "shard " << i;
+      expect_v1_round_trip(leg.trees[i], i);
+      ingested += leg.stats[i].hive.traces_ingested;
+      duplicates += leg.stats[i].hive.duplicates_dropped;
+    }
+    EXPECT_EQ(ingested, 384u);
+    EXPECT_EQ(duplicates, 2u);
+  }
+}
+
+// Ingress the router cannot own is counted, never forwarded: a malformed
+// trace wire as a routing failure, a pod message of any other type as
+// unroutable.
+TEST(DistFleet, RouterCountsMalformedAndNonTraceIngress) {
+  const auto corpus = standard_corpus();
+  NetConfig net_config;
+  net_config.min_latency_ticks = 1;
+  net_config.max_latency_ticks = 1;
+  SimNet net(net_config);
+  TraceRouter router(1);
+  auto [router_side, worker_side] = make_simnet_channel_pair(net);
+  router.connect_shard(0, std::move(router_side));
+  ShardWorker worker(0, &corpus, WorkerConfig{});
+  worker.send_hello(*worker_side);
+  auto [router_pod_side, pod] = make_simnet_channel_pair(net);
+  router.add_pod(std::move(router_pod_side));
+
+  pod->send(kMsgGuidance, Bytes{1, 2, 3});
+  pod->send(kMsgWorkRequest, Bytes{});
+  pod->send(kMsgTrace, Bytes{0xff, 0x00});
+  pod->send(kMsgTrace, make_workload(corpus, 1, 5).front());
+  for (int i = 0; i < 10; ++i) {
+    net.tick();
+    router.pump();
+    worker.pump(*worker_side);
+  }
+  const RouterStats& s = router.stats();
+  EXPECT_EQ(s.unroutable, 2u);
+  EXPECT_EQ(s.routing_failures, 1u);
+  EXPECT_EQ(s.received, 2u);  // trace wires only
+  EXPECT_EQ(s.forwarded, 1u);
+  EXPECT_EQ(s.shed, 0u);
+  EXPECT_TRUE(router.quiescent());
+  EXPECT_EQ(worker.hive().stats().traces_ingested, 1u);
+  EXPECT_EQ(worker.hive().stats().decode_failures, 0u);
+}
+
 // --- backpressure & shedding ------------------------------------------------
 
 TEST(DistFleet, OverloadShedsAndStaysBounded) {
@@ -315,13 +423,13 @@ TEST(DistFleet, OverloadShedsAndStaysBounded) {
   worker.send_hello(*worker_side);
   // Let the hello land, then firehose without letting the worker run.
   for (int i = 0; i < 3; ++i) {
-    net.step();
+    net.tick();
     router.pump();
   }
   for (const auto& wire : wires) {
     router.route_wire(wire);
     router.pump();
-    net.step();
+    net.tick();
     EXPECT_LE(router.total_queue_depth(), 32u);
   }
   const auto& s = router.stats();
@@ -331,7 +439,7 @@ TEST(DistFleet, OverloadShedsAndStaysBounded) {
   EXPECT_LE(s.forwarded, 8u);  // the credit window held the line
   // The worker wakes up: the fleet drains what was admitted and completes.
   for (int i = 0; i < 10'000 && !router.quiescent(); ++i) {
-    net.step();
+    net.tick();
     router.pump();
     worker.pump(*worker_side);
   }

@@ -1,8 +1,8 @@
 // Differential tests for the batched, parallel ingestion pipeline: for any
 // trace workload (mixed programs, shuffled order, duplicates, junk bytes,
 // the k-anonymity gate), ingest_batch must produce byte-identical encoded
-// trees and equal HiveStats compared to N serial ingest_bytes calls,
-// regardless of thread count.
+// trees and equal HiveStats compared to N serial ingest_bytes calls, and
+// byte-identical counter snapshots, regardless of thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include "hive/hive.h"
 #include "minivm/corpus.h"
 #include "minivm/interp.h"
+#include "obs/registry.h"
 #include "trace/codec.h"
 #include "tree/tree_codec.h"
 
@@ -150,6 +151,37 @@ TEST(IngestBatch, CachedReplayEqualsFreshReplay) {
   uncached.ingest_batch(wires);
   uncached.ingest_batch(wires);
   expect_identical(cached, uncached, corpus);
+}
+
+TEST(IngestBatch, CounterSnapshotsByteIdenticalAcrossIngestThreads) {
+  // The observability bar: the registry's counter surface — every
+  // count-type metric the codec, interpreter and hive record while a hive
+  // ingests — renders byte-identically for any ingest_threads. Timing
+  // histograms and gauges are outside this surface (counters_text renders
+  // counters alone).
+  const auto corpus = standard_corpus();
+  auto wires = make_workload(corpus, 256, 13);
+  wires.push_back(wires[5]);        // duplicate
+  wires.push_back({0xde, 0xad});    // junk bytes
+  const std::size_t half = wires.size() / 2;
+  std::vector<std::string> counter_texts;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    HiveConfig cfg;
+    cfg.ingest_threads = threads;
+    obs::MetricsRegistry::global().rebaseline();
+    Hive hive(&corpus, cfg);
+    hive.ingest_batch({wires.begin(), wires.begin() + half});
+    hive.ingest_batch({wires.begin() + half, wires.end()});
+    counter_texts.push_back(
+        obs::MetricsRegistry::global().delta_snapshot().counters_text());
+  }
+  ASSERT_EQ(counter_texts.size(), 3u);
+  EXPECT_NE(counter_texts[0].find("hive.traces_ingested_total"),
+            std::string::npos);
+  EXPECT_NE(counter_texts[0].find("hive.duplicates_dropped_total"),
+            std::string::npos);
+  EXPECT_EQ(counter_texts[0], counter_texts[1]);
+  EXPECT_EQ(counter_texts[0], counter_texts[2]);
 }
 
 TEST(IngestBatch, EmptyBatchIsANoOp) {

@@ -1,13 +1,7 @@
-// Differential tests for parallel proof gap closure: attempt_proofs_all
-// fanned out on N workers must produce byte-identical certificates, trees,
-// and closure telemetry compared to the inline sweep — with and without the
-// solver-result recycling cache — because programs own disjoint trees,
-// proof ids are pre-assigned in corpus order, and each worker solves
-// against a snapshot copy of the shared cache that merges back at the
-// barrier in corpus order (see Hive::attempt_proofs_for).
-//
-// Test names carry the ProofParallel prefix so the TSAN CI job's -R regex
-// picks the whole suite up.
+// Differential tests for proof gap closure: the attempt_proofs_all sweep
+// must equal a plain loop of attempt_proof calls — certificates, trees,
+// closure telemetry and the solver cache alike — and the solver-result
+// recycling cache must be invisible outside the telemetry.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -48,22 +42,15 @@ struct ClosureResult {
   Hive::ProofClosureStats stats;
   std::size_t valid_proofs = 0;
   std::size_t cache_size = 0;
+  Bytes cache_state;  // SolverCache::save_state, slot-exact
 };
 
-// One hive lifecycle: batch-ingest the workload, run the full-corpus proof
-// sweep with the given cache/threads configuration, snapshot everything a
-// divergence could show up in.
-ClosureResult run_closure(const std::vector<CorpusEntry>& corpus,
-                          const std::vector<Bytes>& wires, bool cache,
-                          std::size_t threads) {
-  HiveConfig config;
-  config.solver_cache = cache;
-  config.proof_threads = threads;
-  Hive hive(&corpus, config);
-  hive.ingest_batch(wires);
-
+// Snapshots everything of a hive a proof-closure divergence could show up
+// in, given the certificates its sweep returned.
+ClosureResult snapshot(Hive& hive, const std::vector<CorpusEntry>& corpus,
+                       std::vector<ProofCertificate> certs) {
   ClosureResult out;
-  out.certs = hive.attempt_proofs_all(kProperty);
+  out.certs = std::move(certs);
   for (const auto& entry : corpus) {
     if (ExecTree* t = hive.tree(entry.program.id)) {
       out.trees[entry.program.id.value] = encode_tree(*t);
@@ -72,7 +59,20 @@ ClosureResult run_closure(const std::vector<CorpusEntry>& corpus,
   out.stats = hive.proof_stats();
   out.valid_proofs = hive.valid_proof_count();
   out.cache_size = hive.solver_cache().size();
+  hive.solver_cache().save_state(out.cache_state);
   return out;
+}
+
+// One hive lifecycle: batch-ingest the workload, then run the full-corpus
+// proof sweep with or without the solver cache.
+ClosureResult run_closure(const std::vector<CorpusEntry>& corpus,
+                          const std::vector<Bytes>& wires, bool cache) {
+  HiveConfig config;
+  config.solver_cache = cache;
+  Hive hive(&corpus, config);
+  hive.ingest_batch(wires);
+  auto certs = hive.attempt_proofs_all(kProperty);
+  return snapshot(hive, corpus, std::move(certs));
 }
 
 void expect_identical(const ClosureResult& a, const ClosureResult& b) {
@@ -86,6 +86,7 @@ void expect_identical(const ClosureResult& a, const ClosureResult& b) {
   EXPECT_TRUE(a.stats == b.stats);
   EXPECT_EQ(a.valid_proofs, b.valid_proofs);
   EXPECT_EQ(a.cache_size, b.cache_size);
+  EXPECT_EQ(a.cache_state, b.cache_state);
 }
 
 // Certificates with the attempt-local solver telemetry scrubbed: the
@@ -99,53 +100,37 @@ ProofCertificate scrub_solver_counters(ProofCertificate c) {
   return c;
 }
 
-TEST(ProofParallel, WorkerCountInvarianceWithCache) {
-  const auto corpus = standard_corpus();
-  const auto wires = make_workload(corpus, 200, 11);
-  const ClosureResult serial = run_closure(corpus, wires, true, 0);
-  ASSERT_EQ(serial.certs.size(), corpus.size());
-  EXPECT_GT(serial.valid_proofs, 0u);
-  EXPECT_GT(serial.stats.recycled(), 0u);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    expect_identical(serial, run_closure(corpus, wires, true, threads));
-  }
-}
-
-TEST(ProofParallel, WorkerCountInvarianceWithoutCache) {
-  const auto corpus = standard_corpus();
-  const auto wires = make_workload(corpus, 200, 11);
-  const ClosureResult serial = run_closure(corpus, wires, false, 0);
-  EXPECT_EQ(serial.stats.recycled(), 0u);
-  EXPECT_EQ(serial.cache_size, 0u);
-  for (const std::size_t threads : {2u, 8u}) {
-    expect_identical(serial, run_closure(corpus, wires, false, threads));
-  }
-}
-
-// The parallel sweep must match what a plain serial loop of attempt_proof
-// calls produces. Cache off: with it on the two schedules legitimately
-// differ in *telemetry* (the loop lets attempt i see attempt i-1's results;
-// the sweep snapshots the cache up front) though never in semantics.
+// The sweep is a plain loop of attempt_proof calls: with the cache on, each
+// attempt recycles what the earlier attempts cached, so the match is exact —
+// solver telemetry and the cache itself included.
 TEST(ProofParallel, SweepMatchesSerialAttemptLoop) {
   const auto corpus = standard_corpus();
   const auto wires = make_workload(corpus, 200, 11);
+  for (const bool cache : {true, false}) {
+    SCOPED_TRACE(cache);
+    HiveConfig config;
+    config.solver_cache = cache;
+    Hive loop_hive(&corpus, config);
+    loop_hive.ingest_batch(wires);
+    std::vector<ProofCertificate> loop_certs;
+    for (const auto& entry : corpus) {
+      loop_certs.push_back(
+          loop_hive.attempt_proof(entry.program.id, kProperty));
+    }
+    const ClosureResult loop =
+        snapshot(loop_hive, corpus, std::move(loop_certs));
 
-  HiveConfig config;
-  config.solver_cache = false;
-  Hive loop_hive(&corpus, config);
-  loop_hive.ingest_batch(wires);
-  std::vector<ProofCertificate> loop_certs;
-  for (const auto& entry : corpus) {
-    loop_certs.push_back(loop_hive.attempt_proof(entry.program.id, kProperty));
+    const ClosureResult sweep = run_closure(corpus, wires, cache);
+    ASSERT_EQ(sweep.certs.size(), corpus.size());
+    expect_identical(loop, sweep);
+    EXPECT_GT(sweep.valid_proofs, 0u);
+    if (cache) {
+      EXPECT_GT(sweep.stats.recycled(), 0u);
+    } else {
+      EXPECT_EQ(sweep.stats.recycled(), 0u);
+      EXPECT_EQ(sweep.cache_size, 0u);
+    }
   }
-
-  const ClosureResult sweep = run_closure(corpus, wires, false, 8);
-  ASSERT_EQ(sweep.certs.size(), loop_certs.size());
-  for (std::size_t i = 0; i < loop_certs.size(); ++i) {
-    EXPECT_TRUE(sweep.certs[i] == loop_certs[i]) << "certificate " << i;
-  }
-  EXPECT_EQ(sweep.valid_proofs, loop_hive.valid_proof_count());
-  EXPECT_TRUE(sweep.stats == loop_hive.proof_stats());
 }
 
 // Recycling must be invisible outside the telemetry: same verdicts, same
@@ -156,30 +141,28 @@ TEST(ProofParallel, SweepMatchesSerialAttemptLoop) {
 TEST(ProofParallel, CacheOnMatchesCacheOffSemantics) {
   const auto corpus = standard_corpus();
   const auto wires = make_workload(corpus, 200, 11);
-  const ClosureResult off = run_closure(corpus, wires, false, 0);
-  const ClosureResult on = run_closure(corpus, wires, true, 8);
+  const ClosureResult off = run_closure(corpus, wires, false);
+  const ClosureResult on = run_closure(corpus, wires, true);
 
   ASSERT_EQ(on.certs.size(), off.certs.size());
   for (std::size_t i = 0; i < on.certs.size(); ++i) {
     EXPECT_TRUE(scrub_solver_counters(on.certs[i]) ==
                 scrub_solver_counters(off.certs[i]))
         << "certificate " << i;
-    // Total query count is schedule-independent; only who answers differs.
+    // Total query count is cache-independent; only who answers differs.
     EXPECT_EQ(on.certs[i].solver_calls, off.certs[i].solver_calls);
   }
   EXPECT_EQ(on.trees, off.trees);
   EXPECT_EQ(on.valid_proofs, off.valid_proofs);
 }
 
-// Publishable certificates from the parallel cached sweep survive the
-// independent checker (exhaustive re-execution over the input domain).
+// Publishable certificates from the cached sweep survive the independent
+// checker (exhaustive re-execution over the input domain).
 TEST(ProofParallel, CertificatesSurviveIndependentCheck) {
   const auto corpus = standard_corpus();
   const auto wires = make_workload(corpus, 200, 11);
 
-  HiveConfig config;
-  config.proof_threads = 4;
-  Hive hive(&corpus, config);
+  Hive hive(&corpus);
   hive.ingest_batch(wires);
   const auto certs = hive.attempt_proofs_all(kProperty);
 
@@ -194,55 +177,22 @@ TEST(ProofParallel, CertificatesSurviveIndependentCheck) {
   EXPECT_GT(checked, 0u);
 }
 
-// The sharded fleet: per-shard sweeps fan out on the pump pool, each shard
-// issuing ids from its own disjoint block. Same ingested traffic, different
-// pump_threads -> identical certificates in corpus order.
-TEST(ProofParallel, ShardedSweepIsPumpThreadInvariant) {
-  const auto corpus = standard_corpus();
-  const auto wires = make_workload(corpus, 200, 11);
-
-  const auto run_sharded = [&](std::size_t pump_threads) {
-    ShardedHiveConfig config;
-    config.pump_threads = pump_threads;
-    SimNet net{NetConfig{}};
-    ShardedHive hive(&corpus, 4, net, config);
-    const Endpoint client = net.add_endpoint();
-    for (const Bytes& wire : wires) {
-      net.send(client, hive.ingress(), kMsgTrace, wire);
-    }
-    for (int i = 0; i < 12; ++i) {  // flush the (lossless-default) net
-      net.tick();
-      hive.pump(net);
-    }
-    return hive.attempt_proofs_all(kProperty);
-  };
-
-  const auto serial = run_sharded(1);
-  ASSERT_EQ(serial.size(), corpus.size());
-  const auto parallel = run_sharded(8);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(serial[i] == parallel[i]) << "certificate " << i;
-  }
-}
-
 // End to end through the world loop: daily rotating proof slices with the
-// parallel cached closure leave the simulation bit-reproducible across
-// worker counts, and the day series actually reports closure progress.
+// cached closure leave the simulation bit-reproducible, and the day series
+// actually reports closure progress.
 TEST(ProofParallel, WorldDailyClosureIsDeterministic) {
-  const auto run_world = [](std::size_t threads) {
+  const auto run_world = [] {
     WorldConfig config;
     config.pods_per_program = 2;
     config.days = 4;
     config.proof_programs_per_day = 3;
-    config.hive.proof_threads = threads;
     World world(standard_corpus(), config);
     world.run();
     return world;
   };
 
-  World a = run_world(0);
-  World b = run_world(8);
+  World a = run_world();
+  World b = run_world();
   ASSERT_EQ(a.history().size(), b.history().size());
   for (std::size_t d = 0; d < a.history().size(); ++d) {
     const DayMetrics& ma = a.history()[d];
