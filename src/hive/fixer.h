@@ -96,9 +96,15 @@ struct RepairLabEntry {
   std::string why_not_auto;
 };
 
-// Projects `constraints` onto each input variable: the tightest [lo, hi]
-// hull per input such that every satisfying assignment lies inside. Inputs
-// whose hull equals the full domain are omitted (unconstrained).
+// Projects `constraints` onto each input variable by bisection: per input,
+// one full-domain solve_path probe, then a binary search for the least and
+// the greatest value a probe proves feasible (default solver budget). A
+// probe that runs out of its node budget (kUnknown) counts as infeasible.
+// So when every probe decides, each [lo, hi] is the tightest hull holding
+// every satisfying assignment; when some probe runs out, the hull can be
+// narrower than the real crash region (witnesses behind that probe are cut
+// off), and a full-domain probe that runs out returns no hull at all.
+// Inputs whose hull equals the full domain are omitted (unconstrained).
 std::vector<InputBound> input_hull(const PathConstraint& constraints,
                                    const std::vector<VarDomain>& domains,
                                    const std::vector<VarDomain>& unknowns);

@@ -1,154 +1,116 @@
 #include "sym/csolver.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/check.h"
+#include "sym/interval.h"
 
 namespace softborg {
 
 namespace {
 
-struct Ival {
-  Value lo = 0;
-  Value hi = 0;
+using interval::Ival;
 
-  bool singleton() const { return lo == hi; }
-  bool contains_zero() const { return lo <= 0 && 0 <= hi; }
+// One query's path constraint, compiled once: one slot per distinct DAG node,
+// children before parents, read by index. Variables are flat: input i is
+// variable i and unknown j is variable num_inputs + j.
+struct Tape {
+  enum class Kind : std::uint8_t { kConst, kVar, kBin };
+  struct Slot {
+    Kind kind = Kind::kConst;
+    BinOp op = BinOp::kAdd;      // kBin
+    std::uint32_t lhs = 0;       // kBin: left child slot; kVar: variable
+    std::uint32_t rhs = 0;       // kBin: right child slot
+    Value cval = 0;              // kConst
+  };
+  struct Root {
+    std::uint32_t slot = 0;
+    bool expected = true;
+  };
+
+  std::vector<Slot> slots;
+  std::vector<Root> roots;  // one per literal, in constraint order
+  std::size_t num_inputs = 0;
+  std::size_t num_unknowns = 0;
 };
 
-constexpr Ival kTop{INT64_MIN, INT64_MAX};
-
-// Exact i128 helpers; widen to kTop when the result cannot be represented.
-bool fits(__int128 v) { return v >= INT64_MIN && v <= INT64_MAX; }
-
-Ival iv_from(__int128 lo, __int128 hi) {
-  if (!fits(lo) || !fits(hi)) return kTop;
-  return {static_cast<Value>(lo), static_cast<Value>(hi)};
-}
-
-Ival iv_add(Ival a, Ival b) {
-  return iv_from(static_cast<__int128>(a.lo) + b.lo,
-                 static_cast<__int128>(a.hi) + b.hi);
-}
-
-Ival iv_sub(Ival a, Ival b) {
-  return iv_from(static_cast<__int128>(a.lo) - b.hi,
-                 static_cast<__int128>(a.hi) - b.lo);
-}
-
-Ival iv_mul(Ival a, Ival b) {
-  const __int128 products[4] = {
-      static_cast<__int128>(a.lo) * b.lo, static_cast<__int128>(a.lo) * b.hi,
-      static_cast<__int128>(a.hi) * b.lo, static_cast<__int128>(a.hi) * b.hi};
-  __int128 lo = products[0], hi = products[0];
-  for (auto p : products) {
-    lo = std::min(lo, p);
-    hi = std::max(hi, p);
-  }
-  return iv_from(lo, hi);
-}
-
-Ival iv_div(Ival a, Ival b) {
-  if (b.contains_zero()) return kTop;  // conservative
-  const Value quotients[4] = {a.lo / b.lo, a.lo / b.hi, a.hi / b.lo,
-                              a.hi / b.hi};
-  Value lo = quotients[0], hi = quotients[0];
-  for (auto q : quotients) {
-    lo = std::min(lo, q);
-    hi = std::max(hi, q);
-  }
-  // INT64_MIN / -1 is defined as INT64_MIN in MiniVM; the raw C++ division
-  // above would overflow, so widen when that case is inside the box.
-  if (a.lo == INT64_MIN && b.lo <= -1 && -1 <= b.hi) return kTop;
-  return {lo, hi};
-}
-
-Ival iv_mod(Ival a, Ival b) {
-  if (b.contains_zero()) return kTop;  // conservative
-  const Value m =
-      std::max(b.hi == INT64_MIN ? INT64_MAX : std::abs(b.hi),
-               b.lo == INT64_MIN ? INT64_MAX : std::abs(b.lo));
-  if (m == INT64_MAX) return kTop;
-  if (a.lo >= 0) return {0, std::min(a.hi, m - 1)};
-  return {-(m - 1), m - 1};
-}
-
-Ival iv_cmp(BinOp op, Ival a, Ival b) {
-  auto certainly = [](bool v) { return Ival{v, v}; };
-  switch (op) {
-    case BinOp::kLt:
-      if (a.hi < b.lo) return certainly(true);
-      if (a.lo >= b.hi) return certainly(false);
-      return {0, 1};
-    case BinOp::kLe:
-      if (a.hi <= b.lo) return certainly(true);
-      if (a.lo > b.hi) return certainly(false);
-      return {0, 1};
-    case BinOp::kEq:
-      if (a.singleton() && b.singleton() && a.lo == b.lo) {
-        return certainly(true);
+// One walk over the DAG interns each distinct node and finds the highest
+// input and unknown index; the variable count covers both the declared
+// domains and every variable the constraint mentions.
+Tape compile(const PathConstraint& pc, std::size_t declared_inputs,
+             std::size_t declared_unknowns) {
+  Tape tape;
+  tape.num_inputs = declared_inputs;
+  tape.num_unknowns = declared_unknowns;
+  std::vector<bool> is_unknown;  // per slot: a kVar still holding ordinal j
+  std::unordered_map<const ExprNode*, std::uint32_t> slot_of;
+  std::vector<const ExprNode*> stack;
+  for (const auto& lit : pc) {
+    stack.push_back(lit.cond.get());
+    while (!stack.empty()) {
+      const ExprNode* e = stack.back();
+      if (slot_of.count(e) != 0) {
+        stack.pop_back();
+        continue;
       }
-      if (a.hi < b.lo || b.hi < a.lo) return certainly(false);
-      return {0, 1};
-    case BinOp::kNe:
-      if (a.singleton() && b.singleton() && a.lo == b.lo) {
-        return certainly(false);
+      Tape::Slot slot;
+      bool unknown = false;
+      switch (e->kind) {
+        case ExprKind::kConst:
+          slot.cval = e->cval;
+          break;
+        case ExprKind::kInput:
+          slot.kind = Tape::Kind::kVar;
+          slot.lhs = e->index;
+          tape.num_inputs =
+              std::max<std::size_t>(tape.num_inputs, e->index + std::size_t{1});
+          break;
+        case ExprKind::kUnknown:
+          slot.kind = Tape::Kind::kVar;
+          slot.lhs = e->index;
+          unknown = true;
+          tape.num_unknowns = std::max<std::size_t>(tape.num_unknowns,
+                                                    e->index + std::size_t{1});
+          break;
+        case ExprKind::kBin: {
+          const auto l = slot_of.find(e->lhs.get());
+          const auto r = slot_of.find(e->rhs.get());
+          if (l == slot_of.end() || r == slot_of.end()) {
+            // Children first; this node is revisited once they are interned.
+            if (l == slot_of.end()) stack.push_back(e->lhs.get());
+            if (r == slot_of.end()) stack.push_back(e->rhs.get());
+            continue;
+          }
+          slot.kind = Tape::Kind::kBin;
+          slot.op = e->op;
+          slot.lhs = l->second;
+          slot.rhs = r->second;
+          break;
+        }
       }
-      if (a.hi < b.lo || b.hi < a.lo) return certainly(true);
-      return {0, 1};
-    default:
-      SB_CHECK(false);
+      slot_of.emplace(e, static_cast<std::uint32_t>(tape.slots.size()));
+      tape.slots.push_back(slot);
+      is_unknown.push_back(unknown);
+      stack.pop_back();
+    }
+    tape.roots.push_back({slot_of.at(lit.cond.get()), lit.expected});
   }
-  return {0, 1};
-}
-
-struct Box {
-  std::vector<Ival> inputs;
-  std::vector<Ival> unknowns;
-};
-
-// Expressions are DAGs (register reuse shares subtrees): memoize on node
-// identity per box evaluation or this walk goes exponential.
-using IvalMemo = std::unordered_map<const ExprNode*, Ival>;
-
-Ival eval_interval(const ExprNode* e, const Box& box, IvalMemo& memo) {
-  switch (e->kind) {
-    case ExprKind::kConst:
-      return {e->cval, e->cval};
-    case ExprKind::kInput:
-      return e->index < box.inputs.size() ? box.inputs[e->index] : Ival{0, 0};
-    case ExprKind::kUnknown:
-      return e->index < box.unknowns.size() ? box.unknowns[e->index]
-                                            : Ival{0, 0};
-    case ExprKind::kBin: {
-      auto it = memo.find(e);
-      if (it != memo.end()) return it->second;
-      const Ival a = eval_interval(e->lhs.get(), box, memo);
-      const Ival b = eval_interval(e->rhs.get(), box, memo);
-      Ival r;
-      switch (e->op) {
-        case BinOp::kAdd: r = iv_add(a, b); break;
-        case BinOp::kSub: r = iv_sub(a, b); break;
-        case BinOp::kMul: r = iv_mul(a, b); break;
-        case BinOp::kDiv: r = iv_div(a, b); break;
-        case BinOp::kMod: r = iv_mod(a, b); break;
-        default: r = iv_cmp(e->op, a, b); break;
-      }
-      memo.emplace(e, r);
-      return r;
+  for (std::size_t s = 0; s < tape.slots.size(); ++s) {
+    if (is_unknown[s]) {
+      tape.slots[s].lhs += static_cast<std::uint32_t>(tape.num_inputs);
     }
   }
-  return kTop;
+  return tape;
 }
 
 enum class LitState { kTrue, kFalse, kUndecided };
 
-LitState literal_state(const Literal& lit, const Box& box, IvalMemo& memo) {
-  const Ival v = eval_interval(lit.cond.get(), box, memo);
+LitState literal_state(Ival v, bool expected) {
   const bool definitely_nonzero = v.lo > 0 || v.hi < 0;
   const bool definitely_zero = v.lo == 0 && v.hi == 0;
-  if (lit.expected) {
+  if (expected) {
     if (definitely_nonzero) return LitState::kTrue;
     if (definitely_zero) return LitState::kFalse;
   } else {
@@ -160,90 +122,171 @@ LitState literal_state(const Literal& lit, const Box& box, IvalMemo& memo) {
 
 class Search {
  public:
-  Search(const PathConstraint& pc, const SolverOptions& options)
-      : pc_(pc), options_(options) {}
+  Search(const Tape& tape, std::vector<Ival> vars,
+         const SolverOptions& options)
+      : tape_(tape),
+        options_(options),
+        vars_(std::move(vars)),
+        ival_(tape.slots.size()),
+        ival_epoch_(tape.slots.size(), 0),
+        point_(tape.slots.size(), 0),
+        point_epoch_(tape.slots.size(), 0) {}
 
-  SolveResult run(Box box) {
-    result_.status = descend(box);
+  SolveResult run() {
+    carried_.resize(tape_.roots.size());
+    std::iota(carried_.begin(), carried_.end(), std::uint32_t{0});
+    result_.status = descend(0, carried_.size());
     result_.nodes = nodes_;
     return result_;
   }
 
  private:
-  SolveStatus descend(Box& box) {
+  // Decides the box against the literals carried_[begin, end): the ones the
+  // parent box left undecided. Interval evaluation is inclusion-monotone, so
+  // a literal true on the parent box is true here too and is not evaluated
+  // again; the first false literal still ends the node, so node order and
+  // count match a search that evaluates every literal at every node.
+  SolveStatus descend(std::size_t begin, std::size_t end) {
     if (++nodes_ > options_.max_nodes) return SolveStatus::kUnknown;
 
-    bool all_true = true;
-    IvalMemo memo;  // shared across this box's literals
-    for (const auto& lit : pc_) {
-      switch (literal_state(lit, box, memo)) {
+    ++epoch_;  // invalidates every slot memoized for another box
+    const std::size_t mine = carried_.size();
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::uint32_t lit = carried_[k];
+      const Tape::Root& root = tape_.roots[lit];
+      switch (literal_state(eval(root.slot), root.expected)) {
         case LitState::kFalse:
+          carried_.resize(mine);
           return SolveStatus::kUnsat;
         case LitState::kUndecided:
-          all_true = false;
+          carried_.push_back(lit);
           break;
         case LitState::kTrue:
           break;
       }
     }
-    if (all_true) {
-      extract_model(box);
-      return SolveStatus::kSat;
-    }
+    const std::size_t undecided = carried_.size();
+    const SolveStatus status = undecided == mine
+                                   ? take_low_corner()
+                                   : split(mine, undecided);
+    carried_.resize(mine);
+    return status;
+  }
 
+  SolveStatus split(std::size_t begin, std::size_t end) {
     // Split the widest non-singleton variable.
-    Ival* widest = nullptr;
+    std::size_t widest = vars_.size();
     std::uint64_t widest_span = 0;
-    for (auto* vars : {&box.inputs, &box.unknowns}) {
-      for (auto& iv : *vars) {
-        const std::uint64_t span = static_cast<std::uint64_t>(iv.hi) -
-                                   static_cast<std::uint64_t>(iv.lo);
-        if (span > widest_span) {
-          widest_span = span;
-          widest = &iv;
-        }
+    for (std::size_t v = 0; v < vars_.size(); ++v) {
+      const std::uint64_t span = static_cast<std::uint64_t>(vars_[v].hi) -
+                                 static_cast<std::uint64_t>(vars_[v].lo);
+      if (span > widest_span) {
+        widest_span = span;
+        widest = v;
       }
     }
-    if (widest == nullptr) {
-      // All singletons yet some literal undecided: interval arithmetic was
-      // too coarse (e.g. widened div). Decide exactly.
-      Assignment a = box_point(box);
-      if (satisfies(pc_, a)) {
-        result_.model = std::move(a);
-        return SolveStatus::kSat;
-      }
-      return SolveStatus::kUnsat;
-    }
+    if (widest == vars_.size()) return decide_point(begin, end);
 
-    const Ival saved = *widest;
+    const Ival saved = vars_[widest];
     const Value mid = saved.lo + static_cast<Value>(widest_span / 2);
 
-    *widest = {saved.lo, mid};
-    const SolveStatus left = descend(box);
-    if (left != SolveStatus::kUnsat) {
-      *widest = saved;
-      return left;  // kSat or kUnknown
+    vars_[widest] = {saved.lo, mid};
+    SolveStatus status = descend(begin, end);
+    if (status == SolveStatus::kUnsat) {
+      vars_[widest] = {mid + 1, saved.hi};
+      status = descend(begin, end);
     }
-    *widest = {mid + 1, saved.hi};
-    const SolveStatus right = descend(box);
-    *widest = saved;
-    return right;
+    vars_[widest] = saved;
+    return status;  // kSat or kUnknown stop the search
   }
 
-  static Assignment box_point(const Box& box) {
-    Assignment a;
-    for (const auto& iv : box.inputs) a.inputs.push_back(iv.lo);
-    for (const auto& iv : box.unknowns) a.unknowns.push_back(iv.lo);
-    return a;
+  // All singletons yet some literal undecided: interval arithmetic was too
+  // coarse (e.g. widened div). Decide the point exactly. Only the carried
+  // literals need it: interval evaluation holds every point's exact value,
+  // so a literal true on this box is true at its one point.
+  SolveStatus decide_point(std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const Tape::Root& root = tape_.roots[carried_[k]];
+      if ((eval_point(root.slot) != 0) != root.expected) {
+        return SolveStatus::kUnsat;
+      }
+    }
+    return take_low_corner();
   }
 
-  void extract_model(const Box& box) {
-    // Every point of the box satisfies the constraint; take the low corner.
-    result_.model = box_point(box);
+  // Every point of the box satisfies the constraint; take the low corner.
+  SolveStatus take_low_corner() {
+    for (std::size_t v = 0; v < vars_.size(); ++v) {
+      auto& values = v < tape_.num_inputs ? result_.model.inputs
+                                          : result_.model.unknowns;
+      values.push_back(vars_[v].lo);
+    }
+    return SolveStatus::kSat;
   }
 
-  const PathConstraint& pc_;
+  // Interval value of slot `s` on the current box, memoized per node.
+  Ival eval(std::uint32_t s) {
+    const Tape::Slot& slot = tape_.slots[s];
+    switch (slot.kind) {
+      case Tape::Kind::kConst:
+        return {slot.cval, slot.cval};
+      case Tape::Kind::kVar:
+        return vars_[slot.lhs];
+      case Tape::Kind::kBin:
+        break;
+    }
+    if (ival_epoch_[s] == epoch_) return ival_[s];
+    const Ival a = eval(slot.lhs);
+    const Ival b = eval(slot.rhs);
+    Ival r;
+    switch (slot.op) {
+      case BinOp::kAdd: r = interval::iv_add(a, b); break;
+      case BinOp::kSub: r = interval::iv_sub(a, b); break;
+      case BinOp::kMul: r = interval::iv_mul(a, b); break;
+      case BinOp::kDiv: r = interval::iv_div(a, b); break;
+      case BinOp::kMod: r = interval::iv_mod(a, b); break;
+      default: r = interval::iv_cmp(slot.op, a, b); break;
+    }
+    ival_[s] = r;
+    ival_epoch_[s] = epoch_;
+    return r;
+  }
+
+  // Exact value of slot `s` at the box's low corner, with eval_expr's
+  // semantics: values wrap, and division or modulo by zero reads as 0.
+  Value eval_point(std::uint32_t s) {
+    const Tape::Slot& slot = tape_.slots[s];
+    switch (slot.kind) {
+      case Tape::Kind::kConst:
+        return slot.cval;
+      case Tape::Kind::kVar:
+        return vars_[slot.lhs].lo;
+      case Tape::Kind::kBin:
+        break;
+    }
+    if (point_epoch_[s] == epoch_) return point_[s];
+    const Value a = eval_point(slot.lhs);
+    const Value b = eval_point(slot.rhs);
+    const bool by_zero =
+        (slot.op == BinOp::kDiv || slot.op == BinOp::kMod) && b == 0;
+    const Value r = by_zero ? 0 : eval_binop(slot.op, a, b);
+    point_[s] = r;
+    point_epoch_[s] = epoch_;
+    return r;
+  }
+
+  const Tape& tape_;
   const SolverOptions& options_;
+  std::vector<Ival> vars_;  // the current box
+  // Per-slot memos, valid for the slots whose epoch equals epoch_ (one
+  // epoch per node; a node evaluates its point only when it cannot split).
+  std::vector<Ival> ival_;
+  std::vector<std::uint64_t> ival_epoch_;
+  std::vector<Value> point_;
+  std::vector<std::uint64_t> point_epoch_;
+  std::uint64_t epoch_ = 0;
+  // Undecided literal indices: each node's list sits on top of its parent's.
+  std::vector<std::uint32_t> carried_;
   SolveResult result_;
   std::uint64_t nodes_ = 0;
 };
@@ -263,31 +306,23 @@ SolveResult solve_path(const PathConstraint& pc,
                        const std::vector<VarDomain>& input_domains,
                        const std::vector<VarDomain>& unknown_domains,
                        const SolverOptions& options) {
-  // Size the box to cover both the declared domains and every variable the
-  // constraint mentions.
-  int max_input = -1, max_unknown = -1;
-  for (const auto& lit : pc) max_indices(lit.cond, &max_input, &max_unknown);
+  const Tape tape =
+      compile(pc, input_domains.size(), unknown_domains.size());
 
-  Box box;
-  const std::size_t n_inputs = std::max<std::size_t>(
-      input_domains.size(), static_cast<std::size_t>(max_input + 1));
-  const std::size_t n_unknowns = std::max<std::size_t>(
-      unknown_domains.size(), static_cast<std::size_t>(max_unknown + 1));
-  for (std::size_t i = 0; i < n_inputs; ++i) {
-    const VarDomain d =
-        i < input_domains.size() ? input_domains[i] : VarDomain{0, 0};
-    SB_CHECK(d.lo <= d.hi);
-    box.inputs.push_back({d.lo, d.hi});
-  }
-  for (std::size_t j = 0; j < n_unknowns; ++j) {
-    const VarDomain d =
-        j < unknown_domains.size() ? unknown_domains[j] : VarDomain{0, 0};
-    SB_CHECK(d.lo <= d.hi);
-    box.unknowns.push_back({d.lo, d.hi});
-  }
+  std::vector<Ival> box;
+  box.reserve(tape.num_inputs + tape.num_unknowns);
+  auto push = [&box](const std::vector<VarDomain>& domains, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const VarDomain d = i < domains.size() ? domains[i] : VarDomain{0, 0};
+      SB_CHECK(d.lo <= d.hi);
+      box.push_back({d.lo, d.hi});
+    }
+  };
+  push(input_domains, tape.num_inputs);
+  push(unknown_domains, tape.num_unknowns);
 
-  Search search(pc, options);
-  return search.run(std::move(box));
+  Search search(tape, std::move(box), options);
+  return search.run();
 }
 
 bool satisfies(const PathConstraint& pc, const Assignment& assignment) {

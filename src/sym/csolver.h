@@ -5,7 +5,9 @@
 // boxes are split on the widest variable until a decision or the node
 // budget runs out. Interval operations are overflow-aware: any operation
 // that could wrap returns the full int64 interval, so pruning is always
-// sound with respect to MiniVM's wrapping semantics.
+// sound with respect to MiniVM's wrapping semantics. Each query compiles its
+// constraint once into a flat tape (one slot per distinct DAG node), and a
+// literal decided true on a box is not evaluated again on its sub-boxes.
 //
 // Complete for the bounded domains SoftBorg uses (program input domains and
 // syscall result ranges); returns kUnknown only on budget exhaustion.

@@ -166,6 +166,22 @@ TEST(CSolver, BudgetExhaustionReturnsUnknown) {
   EXPECT_EQ(r.status, SolveStatus::kUnknown);
 }
 
+TEST(CSolver, OverflowedDividendOverMinusOneDoesNotTrap) {
+  // x*x*x*x / y < 5 with x in [0, 10^6], y in [-10, -1]: the product
+  // overflows to the full interval, whose corner INT64_MIN / -1 used to
+  // raise SIGFPE inside the interval division.
+  const Expr x = make_input(0);
+  const Expr x3 = make_bin(BinOp::kMul, make_bin(BinOp::kMul, x, x), x);
+  const Expr x4 = make_bin(BinOp::kMul, x3, x);
+  const PathConstraint pc = pc_of(
+      {{make_bin(BinOp::kLt, make_bin(BinOp::kDiv, x4, make_input(1)),
+                 make_const(5)),
+        true}});
+  const auto r = solve_path(pc, {{0, 1'000'000}, {-10, -1}});
+  ASSERT_EQ(r.status, SolveStatus::kSat);
+  EXPECT_TRUE(satisfies(pc, r.model));
+}
+
 TEST(CSolver, SatisfiesAgreesWithSolver) {
   // Randomized cross-check: solver models always satisfy.
   Rng rng(31);
