@@ -23,6 +23,7 @@
 
 #include "bench_json_gbench.h"
 #include "common/rng.h"
+#include "interp_ref.h"
 #include "minivm/builder.h"
 #include "minivm/corpus.h"
 #include "minivm/decode.h"

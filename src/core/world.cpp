@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/fields.h"
 #include "common/fsio.h"
 #include "common/log.h"
 #include "common/state_wire.h"
@@ -447,72 +448,9 @@ void World::run() {
 // --- durable store ----------------------------------------------------------
 
 std::uint64_t World::config_fingerprint() const {
-  // Everything with behavioral effect on a run, EXCEPT `days` (a resumed run
-  // may legitimately extend the horizon) and the snapshot/warm-start knobs
-  // themselves (where state is stored must not invalidate the state).
   Bytes b;
-  put_varint(b, config_.seed);
-  put_varint(b, config_.pods_per_program);
-  put_f64(b, config_.mean_runs_per_day);
-  put_varint(b, config_.ticks_per_day);
-  put_bool(b, config_.distribute_fixes);
-  put_f64(b, config_.canary_fraction);
-  put_varint(b, config_.canary_days);
-  put_varint(b, config_.guidance_per_program_per_day);
-  put_varint(b, config_.proof_programs_per_day);
-  put_varint(b, static_cast<std::uint64_t>(config_.proof_property));
-  // Adaptive control plane + cooperative exploration.
-  put_bool(b, config_.adapt.static_plan);
-  put_f64(b, config_.adapt.ewma_alpha);
-  put_f64(b, config_.adapt.optimism);
-  put_f64(b, config_.adapt.risk_aversion);
-  put_varint(b, config_.coop_programs_per_day);
-  put_varint(b, config_.coop.num_workers);
-  put_varint(b, static_cast<std::uint64_t>(config_.coop.strategy));
-  put_varint(b, config_.coop.steps_per_tick);
-  put_f64(b, config_.coop.churn_prob);
-  put_varint(b, config_.coop.respawn_ticks);
-  put_varint(b, config_.coop.death_detect_ticks);
-  put_varint(b, config_.coop.split_depth);
-  put_varint(b, config_.coop.seed);
-  put_varint(b, config_.coop.max_ticks);
-  // Network.
-  put_f64(b, config_.net.drop_prob);
-  put_f64(b, config_.net.dup_prob);
-  put_varint(b, config_.net.min_latency_ticks);
-  put_varint(b, config_.net.max_latency_ticks);
-  put_varint(b, config_.net.seed);
-  // Pods.
-  put_varint(b, static_cast<std::uint64_t>(config_.pod_config.granularity));
-  put_varint(b, config_.pod_config.sampling_rate);
-  put_varint(b, config_.pod_config.max_steps);
-  put_bool(b, config_.pod_config.enable_fusion);
-  put_bool(b, config_.pod_config.anonymize.strip_pod_id);
-  put_varint(b, config_.pod_config.anonymize.pod_bucket_count);
-  put_bool(b, config_.pod_config.anonymize.quantize_day);
-  put_bool(b, config_.pod_config.anonymize.coarsen_syscalls);
-  put_varint(b, config_.pod_config.anonymize.bit_suppression);
-  // Hive.
-  put_f64(b, config_.hive.auto_fix_threshold);
-  put_varint(b, config_.hive.recurrence_grace_days);
-  put_varint(b, config_.hive.k_anonymity);
-  put_varint(b, config_.hive.seed);
-  put_bool(b, config_.hive.solver_cache);
-  put_varint(b, config_.hive.next_proof_id);
-  put_varint(b, config_.hive.fixer.next_fix_id);
-  put_varint(b, config_.hive.fixer.validation_runs_region);
-  put_varint(b, config_.hive.fixer.validation_runs_domain);
-  put_varint(b, config_.hive.fixer.seed);
-  put_varint(b, config_.hive.proof_budget.max_gap_closures);
-  put_varint(b, config_.hive.proof_budget.max_symbolic_paths);
-  put_varint(b, config_.hive.proof_budget.solver.max_nodes);
-  put_varint(b, config_.hive.proof_budget.frontier_budget);
-  put_varint(b, config_.hive.guidance.solver.max_nodes);
-  put_varint(b, config_.hive.guidance.max_paths_per_frontier);
-  put_varint(b, config_.hive.guidance.frontier_budget);
-  // Corpus identity.
-  put_varint(b, corpus_.size());
-  for (const auto& entry : corpus_) put_varint(b, entry.program.id.value);
+  encode_fields(b, config_);
+  put_corpus_ids(b, corpus_);
   return fnv1a64(b.data(), b.size());
 }
 
@@ -540,33 +478,7 @@ bool World::save_snapshot(const std::string& dir, std::string* err) const {
       put_varint(w, pr.full_rollout_day);
     }
     put_varint(w, history_.size());
-    for (const DayMetrics& m : history_) {
-      put_varint(w, m.day);
-      put_varint(w, m.runs);
-      put_varint(w, m.failures);
-      put_f64(w, m.failure_rate);
-      put_varint(w, m.fix_interventions);
-      put_varint(w, m.bugs_found_total);
-      put_varint(w, m.bugs_fixed_total);
-      put_varint(w, m.fixes_distributed_total);
-      put_varint(w, m.total_paths);
-      put_varint(w, m.open_frontiers);
-      put_varint(w, m.traces_delivered_total);
-      put_varint(w, m.net_blocked_at_send_total);
-      put_varint(w, m.net_dropped_in_flight_total);
-      put_varint(w, m.net_dropped_total);
-      put_varint(w, m.proofs_valid_total);
-      put_varint(w, m.proof_solver_calls_total);
-      put_varint(w, m.proof_solver_recycled_total);
-      put_varint(w, m.coop_runs);
-      put_varint(w, m.coop_ticks);
-      put_varint(w, m.coop_useful_steps);
-      put_varint(w, m.coop_wasted_steps);
-      put_varint(w, m.coop_idle_ticks);
-      for (const std::uint64_t runs : m.coop_runs_by_strategy) {
-        put_varint(w, runs);
-      }
-    }
+    for (const DayMetrics& m : history_) encode_fields(w, m);
     parts.push_back({"world", std::move(w)});
   }
   {
@@ -667,36 +579,8 @@ bool World::resume_from_snapshot(const std::string& dir, std::string* err) {
       pr.full_rollout_day = r.u64();
       pending_rollouts_.push_back(std::move(pr));
     }
-    history_.clear();
-    const std::uint64_t n_days = r.count(25);
-    history_.reserve(n_days);
-    for (std::uint64_t i = 0; i < n_days && r.ok(); ++i) {
-      DayMetrics m;
-      m.day = r.u64();
-      m.runs = r.u64();
-      m.failures = r.u64();
-      m.failure_rate = r.f64();
-      m.fix_interventions = r.u64();
-      m.bugs_found_total = r.u64();
-      m.bugs_fixed_total = r.u64();
-      m.fixes_distributed_total = r.u64();
-      m.total_paths = r.u64();
-      m.open_frontiers = r.u64();
-      m.traces_delivered_total = r.u64();
-      m.net_blocked_at_send_total = r.u64();
-      m.net_dropped_in_flight_total = r.u64();
-      m.net_dropped_total = r.u64();
-      m.proofs_valid_total = r.u64();
-      m.proof_solver_calls_total = r.u64();
-      m.proof_solver_recycled_total = r.u64();
-      m.coop_runs = r.u64();
-      m.coop_ticks = r.u64();
-      m.coop_useful_steps = r.u64();
-      m.coop_wasted_steps = r.u64();
-      m.coop_idle_ticks = r.u64();
-      for (std::uint64_t& runs : m.coop_runs_by_strategy) runs = r.u64();
-      history_.push_back(m);
-    }
+    history_.assign(r.count(leaf_count<DayMetrics>()), {});
+    for (DayMetrics& m : history_) decode_fields(r, m);
     if (!r.done()) return set_err("world part malformed");
     if (day_ != snapshot->seq) return set_err("world day != generation seq");
     if (history_.size() != day_) return set_err("history length != day");

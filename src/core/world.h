@@ -89,6 +89,28 @@ struct WorldConfig {
   // Off by default — the registry is process-wide, so two concurrently
   // stepping worlds would interleave their deltas.
   bool record_metrics = false;
+
+  // The fingerprint (World::config_fingerprint) hashes every encoded field.
+  static constexpr auto fields() {
+    using C = WorldConfig;
+    return std::tuple{
+        field(&C::pods_per_program),
+        exempt(&C::days, "a resumed run may extend the horizon"),
+        field(&C::mean_runs_per_day), field(&C::net), field(&C::pod_config),
+        field(&C::hive), field(&C::distribute_fixes),
+        field(&C::canary_fraction), field(&C::canary_days),
+        field(&C::guidance_per_program_per_day),
+        field(&C::proof_programs_per_day), field(&C::proof_property),
+        field(&C::adapt), field(&C::coop_programs_per_day), field(&C::coop),
+        field(&C::ticks_per_day), field(&C::seed),
+        exempt(&C::snapshot_dir, "where state is stored, not what it is"),
+        exempt(&C::snapshot_every_n_days,
+               "when state is stored, not what it is"),
+        exempt(&C::warm_start_regressions,
+               "a warm-start input a resumed run may carry or drop"),
+        exempt(&C::record_metrics,
+               "reads the registry; the run does not depend on it")};
+  }
 };
 
 struct DayMetrics {
@@ -134,6 +156,23 @@ struct DayMetrics {
   std::array<std::uint64_t, 3> coop_runs_by_strategy{};  // by PartitionStrategy
 
   bool operator==(const DayMetrics&) const = default;
+
+  static constexpr auto fields() {
+    using M = DayMetrics;
+    return std::tuple{
+        field(&M::day), field(&M::runs), field(&M::failures),
+        field(&M::failure_rate), field(&M::fix_interventions),
+        field(&M::bugs_found_total), field(&M::bugs_fixed_total),
+        field(&M::fixes_distributed_total), field(&M::total_paths),
+        field(&M::open_frontiers), field(&M::traces_delivered_total),
+        field(&M::net_blocked_at_send_total),
+        field(&M::net_dropped_in_flight_total), field(&M::net_dropped_total),
+        field(&M::proofs_valid_total), field(&M::proof_solver_calls_total),
+        field(&M::proof_solver_recycled_total), field(&M::coop_runs),
+        field(&M::coop_ticks), field(&M::coop_useful_steps),
+        field(&M::coop_wasted_steps), field(&M::coop_idle_ticks),
+        field(&M::coop_runs_by_strategy)};
+  }
 };
 
 class World {
@@ -184,10 +223,11 @@ class World {
   };
 
   UserProfile random_profile(const CorpusEntry& entry);
-  // Hash of everything that determines a run: config knobs with behavioral
-  // effect plus the corpus program ids. Stored in every snapshot's "meta"
-  // part; resume refuses a snapshot whose fingerprint differs (a snapshot
-  // from a differently-configured run would silently diverge, not resume).
+  // Hash of everything that determines a run: every WorldConfig field its
+  // list does not exempt, plus the corpus program ids. Stored in every
+  // snapshot's "meta" part; resume refuses a snapshot whose fingerprint
+  // differs (a snapshot from a differently-configured run would silently
+  // diverge, not resume).
   std::uint64_t config_fingerprint() const;
   void deliver_downstream();
   void broadcast_fixes(const std::vector<FixCandidate>& fixes);

@@ -61,8 +61,10 @@ class Channel {
   virtual std::vector<Delivery> poll() = 0;
 
   // False once the peer is unreachable (socket error/close). SimNet
-  // channels never die — fault injection there is loss/partition, which the
-  // router sees as shed credit, not channel death.
+  // channels never die: their faults are loss, duplication and partitions.
+  // Credit is exact only on a channel that delivers each message exactly
+  // once; a lost or duplicated trace or grant leaks or inflates the
+  // router's credit for good (ROADMAP item 6).
   virtual bool alive() const = 0;
 
   // Pushes buffered writes toward the peer (socket backlog drain). SimNet

@@ -1,5 +1,7 @@
 #include "dist/control.h"
 
+#include "common/fields.h"
+
 namespace softborg::dist {
 
 Bytes encode_hello(const HelloMsg& m) {
@@ -33,47 +35,18 @@ std::optional<HelloMsg> decode_hello(const Bytes& bytes) {
 }
 
 Bytes encode_worker_stats(const WorkerStatsMsg& m) {
+  // The frame version gates the whole protocol, so there is no per-message
+  // versioning to maintain.
   Bytes out;
-  put_varint(out, m.shard_index);
-  put_varint(out, m.ingested);
-  put_varint(out, m.shed);
-  put_varint(out, m.queue_max_depth);
-  put_varint(out, m.batches);
-  put_varint(out, m.snapshots_written);
-  const HiveStats& h = m.hive;
-  // HiveStats, field by field in declaration order. The frame version gates
-  // the whole protocol, so there is no per-message versioning to maintain.
-  for (std::uint64_t v :
-       {h.traces_ingested, h.duplicates_dropped, h.decode_failures,
-        h.replay_failures, h.patched_traces_skipped, h.gated_traces,
-        h.paths_merged, h.new_paths, h.bugs_found, h.fixes_approved,
-        h.repair_lab_entries, h.proofs_revoked, h.fixed_traces_seen,
-        h.fix_recurrences, h.bugs_reopened}) {
-    put_varint(out, v);
-  }
+  encode_fields(out, m);
   return out;
 }
 
 std::optional<WorkerStatsMsg> decode_worker_stats(const Bytes& bytes) {
-  std::size_t pos = 0;
   WorkerStatsMsg m;
-  auto next = [&](std::uint64_t& field) {
-    const auto v = get_varint(bytes, pos);
-    if (!v) return false;
-    field = *v;
-    return true;
-  };
-  HiveStats& h = m.hive;
-  for (std::uint64_t* field :
-       {&m.shard_index, &m.ingested, &m.shed, &m.queue_max_depth, &m.batches,
-        &m.snapshots_written, &h.traces_ingested, &h.duplicates_dropped,
-        &h.decode_failures, &h.replay_failures, &h.patched_traces_skipped,
-        &h.gated_traces, &h.paths_merged, &h.new_paths, &h.bugs_found,
-        &h.fixes_approved, &h.repair_lab_entries, &h.proofs_revoked,
-        &h.fixed_traces_seen, &h.fix_recurrences, &h.bugs_reopened}) {
-    if (!next(*field)) return std::nullopt;
-  }
-  if (pos != bytes.size()) return std::nullopt;
+  StateReader r(bytes);
+  decode_fields(r, m);
+  if (!r.done()) return std::nullopt;
   return m;
 }
 

@@ -48,6 +48,14 @@ struct WorkerStatsMsg {
   HiveStats hive;
 
   bool operator==(const WorkerStatsMsg&) const = default;
+
+  static constexpr auto fields() {
+    using M = WorkerStatsMsg;
+    return std::tuple{field(&M::shard_index), field(&M::ingested),
+                      field(&M::shed), field(&M::queue_max_depth),
+                      field(&M::batches), field(&M::snapshots_written),
+                      field(&M::hive)};
+  }
 };
 
 Bytes encode_worker_stats(const WorkerStatsMsg& m);

@@ -314,52 +314,12 @@ void TraceRouter::publish_metrics() {
   if (!obs::enabled()) return;
   auto& reg = obs::MetricsRegistry::global();
   // Cached handles, looked up once: pump() runs every loop iteration.
-  static constexpr const char* kNames[] = {
-      "dist.received_total",     "dist.forwarded_total",
-      "dist.shed_total",         "dist.backpressure_stalls_total",
-      "dist.routing_failures_total", "dist.unroutable_total",
-      "dist.credits_granted_total",  "dist.stall_us_total",
-  };
-  struct Handles {
-    obs::Counter* c[8];
-    obs::Gauge* depth;
-    obs::Gauge* depth_peak;
-  };
-  static Handles h = [&] {
-    Handles out{};
-    for (std::size_t i = 0; i < 8; ++i) out.c[i] = &reg.counter(kNames[i]);
-    out.depth = &reg.gauge("dist.queue_depth");
-    out.depth_peak = &reg.gauge("dist.queue_depth_peak");
-    return out;
-  }();
-  const RouterStats& s = stats_;
-  RouterStats& p = obs_published_;
-  const std::uint64_t now[8] = {
-      s.received,
-      s.forwarded,
-      s.shed,
-      s.backpressure_stalls,
-      s.routing_failures,
-      s.unroutable,
-      s.credits_granted,
-      static_cast<std::uint64_t>(s.stall_seconds * 1e6),
-  };
-  const std::uint64_t before[8] = {
-      p.received,
-      p.forwarded,
-      p.shed,
-      p.backpressure_stalls,
-      p.routing_failures,
-      p.unroutable,
-      p.credits_granted,
-      static_cast<std::uint64_t>(p.stall_seconds * 1e6),
-  };
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (now[i] > before[i]) h.c[i]->add(now[i] - before[i]);
-  }
-  p = s;
-  h.depth->set(static_cast<std::int64_t>(total_queue_depth()));
-  h.depth_peak->set(static_cast<std::int64_t>(s.queue_depth_peak));
+  static const obs::CounterSet<RouterStats> counters;
+  static obs::Gauge& depth = reg.gauge("dist.queue_depth");
+  static obs::Gauge& depth_peak = reg.gauge("dist.queue_depth_peak");
+  counters.publish(stats_, obs_published_);
+  depth.set(static_cast<std::int64_t>(total_queue_depth()));
+  depth_peak.set(static_cast<std::int64_t>(stats_.queue_depth_peak));
   // Per-shard ingest rates and flow-control health. Registry lookups are
   // string-keyed, so each series publishes only when its value moved.
   for (std::size_t i = 0; i < shards_.size(); ++i) {

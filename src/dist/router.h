@@ -54,6 +54,21 @@ struct RouterStats {
   double stall_seconds = 0.0;          // wall time with >=1 shard stalled
 
   bool operator==(const RouterStats&) const = default;
+
+  // queue_depth_peak publishes as the dist.queue_depth_peak gauge.
+  static constexpr auto fields() {
+    using S = RouterStats;
+    return std::tuple{
+        field(&S::received, "dist.received_total"),
+        field(&S::forwarded, "dist.forwarded_total"),
+        field(&S::shed, "dist.shed_total"),
+        field(&S::backpressure_stalls, "dist.backpressure_stalls_total"),
+        field(&S::routing_failures, "dist.routing_failures_total"),
+        field(&S::unroutable, "dist.unroutable_total"),
+        field(&S::credits_granted, "dist.credits_granted_total"),
+        field(&S::queue_depth_peak),
+        field(&S::stall_seconds, "dist.stall_us_total")};
+  }
 };
 
 class TraceRouter {

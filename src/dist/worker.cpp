@@ -8,6 +8,8 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/fields.h"
+#include "common/fsio.h"
 #include "common/state_wire.h"
 #include "dist/socket.h"
 #include "obs/recorder.h"
@@ -51,6 +53,18 @@ bool ShardWorker::try_resume() {
   for (const char* name : {"hive", "trees", "solver", "worker"}) {
     if (part(name) == nullptr) return false;
   }
+  // A snapshot of another shard, or one taken under another hive config or
+  // corpus, would resume silently and diverge: cold-start instead.
+  StateReader w(*part("worker"));
+  const std::uint64_t idx = w.u64();
+  const std::uint64_t fingerprint = w.u64();
+  const std::uint64_t ingested = w.u64();
+  const std::uint64_t shed = w.u64();
+  const std::uint64_t batches = w.u64();
+  const std::uint64_t snapshots_written = w.u64();
+  if (!w.done() || idx != index_ || fingerprint != config_fingerprint()) {
+    return false;
+  }
   // On any validation failure the hive may be half-restored: rebuild it
   // cold so a corrupt snapshot degrades to a clean cold start, never a
   // Frankenstein state.
@@ -70,24 +84,22 @@ bool ShardWorker::try_resume() {
     StateReader r(*part("solver"));
     if (!hive_->solver_cache().load_state(r) || !r.done()) return reject();
   }
-  {
-    StateReader r(*part("worker"));
-    const std::uint64_t idx = r.u64();
-    ingested_ = r.u64();
-    const std::uint64_t shed = r.u64();
-    batches_ = r.u64();
-    snapshots_written_ = r.u64();
-    if (!r.done() || idx != index_) {
-      ingested_ = batches_ = snapshots_written_ = 0;
-      return reject();
-    }
-    // The queue object is fresh; seed its shed ledger with the restored
-    // count so closing stats are cumulative across restarts.
-    queue_.restore_shed_total(shed);
-  }
+  ingested_ = ingested;
+  batches_ = batches;
+  snapshots_written_ = snapshots_written;
+  // The queue object is fresh; seed its shed ledger with the restored count
+  // so closing stats are cumulative across restarts.
+  queue_.restore_shed_total(shed);
   snapshot_seq_ = snapshot->seq;
   resumed_ = true;
   return true;
+}
+
+std::uint64_t ShardWorker::config_fingerprint() const {
+  Bytes b;
+  encode_fields(b, config_.hive);
+  put_corpus_ids(b, *corpus_);
+  return fnv1a64(b.data(), b.size());
 }
 
 void ShardWorker::send_hello(Channel& ch) {
@@ -161,6 +173,7 @@ bool ShardWorker::write_snapshot() {
   {
     Bytes w;
     put_varint(w, index_);
+    put_varint(w, config_fingerprint());
     put_varint(w, ingested_);
     put_varint(w, queue_.shed_total());
     put_varint(w, batches_);

@@ -62,7 +62,8 @@ class ShardWorker {
               WorkerConfig config);
 
   // Warm start from config.snapshot_dir (no-op without one). True when a
-  // valid snapshot was loaded; false falls back to a cold start.
+  // valid snapshot of this shard, taken under the same hive config and
+  // corpus, was loaded; false falls back to a cold start.
   bool try_resume();
 
   // Announces shard index + credit window to the router. Call once after
@@ -94,6 +95,9 @@ class ShardWorker {
   // Rebuilds hive_ cold with the shard's id blocks and seed (construction
   // and the discard-on-corrupt-snapshot path share it).
   void build_hive();
+  // Hash of config.hive (HiveConfig's list) and the corpus program ids,
+  // stored in the "worker" snapshot part; try_resume refuses a mismatch.
+  std::uint64_t config_fingerprint() const;
 
   std::size_t index_;
   const std::vector<CorpusEntry>* corpus_;

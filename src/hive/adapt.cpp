@@ -108,22 +108,13 @@ void YieldLedger::save_planning_state(Bytes& out) const {
   put_varint(out, programs_.size());
   for (const auto& [key, st] : programs_) {
     put_varint(out, key);
-    put_f64(out, st.est.ret);
-    put_f64(out, st.est.risk);
-    put_f64(out, st.est.opportunity);
-    put_varint(out, st.est.observations);
-    put_bool(out, st.est.proven);
-    put_varint(out, st.last_total_paths);
-    put_varint(out, st.work_pending);
-    put_bool(out, st.baselined);
+    encode_fields(out, st);
   }
   put_varint(out, equities_.size());
   for (const auto& [key, eq] : equities_) {
     put_varint(out, key.first);
     put_varint(out, key.second);
-    put_f64(out, eq.mean_cost);
-    put_f64(out, eq.dev);
-    put_varint(out, eq.units);
+    encode_fields(out, eq);
   }
 }
 
@@ -140,7 +131,7 @@ void YieldLedger::save_state(Bytes& out) const {
 bool YieldLedger::load_state(StateReader& r) {
   programs_.clear();
   equities_.clear();
-  const std::uint64_t n_programs = r.count(8);
+  const std::uint64_t n_programs = r.count(1 + leaf_count<ProgramState>());
   std::uint64_t prev_key = 0;
   for (std::uint64_t i = 0; i < n_programs && r.ok(); ++i) {
     const std::uint64_t key = r.u64();
@@ -149,18 +140,9 @@ bool YieldLedger::load_state(StateReader& r) {
       return false;
     }
     prev_key = key;
-    ProgramState st;
-    st.est.ret = r.f64();
-    st.est.risk = r.f64();
-    st.est.opportunity = r.f64();
-    st.est.observations = r.u64();
-    st.est.proven = r.boolean();
-    st.last_total_paths = r.u64();
-    st.work_pending = r.u64();
-    st.baselined = r.boolean();
-    programs_[key] = st;
+    decode_fields(r, programs_[key]);
   }
-  const std::uint64_t n_equities = r.count(5);
+  const std::uint64_t n_equities = r.count(2 + leaf_count<EquityEstimate>());
   std::pair<std::uint64_t, std::uint64_t> prev_eq{0, 0};
   for (std::uint64_t i = 0; i < n_equities && r.ok(); ++i) {
     std::pair<std::uint64_t, std::uint64_t> key;
@@ -171,11 +153,7 @@ bool YieldLedger::load_state(StateReader& r) {
       return false;
     }
     prev_eq = key;
-    EquityEstimate eq;
-    eq.mean_cost = r.f64();
-    eq.dev = r.f64();
-    eq.units = r.u64();
-    equities_[key] = eq;
+    decode_fields(r, equities_[key]);
   }
   replay_recycle_rate_ = r.f64();
   solver_recycle_rate_ = r.f64();

@@ -37,6 +37,7 @@
 #include <map>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/state_wire.h"
 #include "hive/hive.h"
 #include "obs/registry.h"
@@ -59,6 +60,12 @@ struct AdaptConfig {
   // Weight of the relative risk term in the score denominator; 0 ranks by
   // raw optimistic return.
   double risk_aversion = 0.5;
+
+  static constexpr auto fields() {
+    using C = AdaptConfig;
+    return std::tuple{field(&C::static_plan), field(&C::ewma_alpha),
+                      field(&C::optimism), field(&C::risk_aversion)};
+  }
 };
 
 // Per-target exponentially-weighted return/risk estimates plus the raw
@@ -77,6 +84,13 @@ class YieldLedger {
     double opportunity = 0;  // latest open-frontier count (remaining upside)
     std::uint64_t observations = 0;
     bool proven = false;     // program currently holds a valid certificate
+
+    static constexpr auto fields() {
+      return std::tuple{field(&Estimate::ret), field(&Estimate::risk),
+                        field(&Estimate::opportunity),
+                        field(&Estimate::observations),
+                        field(&Estimate::proven)};
+    }
   };
 
   // --- per-program yield (fed once per day at the step_day barrier) --------
@@ -107,6 +121,12 @@ class YieldLedger {
     double mean_cost = 0.0;
     double dev = 0.0;  // EWMA absolute deviation
     std::uint64_t units = 0;
+
+    static constexpr auto fields() {
+      using E = EquityEstimate;
+      return std::tuple{field(&E::mean_cost), field(&E::dev),
+                        field(&E::units)};
+    }
   };
   const EquityEstimate* equity(ProgramId program, std::uint64_t key) const;
 
@@ -146,6 +166,12 @@ class YieldLedger {
     std::uint64_t last_total_paths = 0;
     std::uint64_t work_pending = 0;
     bool baselined = false;
+
+    static constexpr auto fields() {
+      using P = ProgramState;
+      return std::tuple{field(&P::est), field(&P::last_total_paths),
+                        field(&P::work_pending), field(&P::baselined)};
+    }
   };
 
   void ewma(double& acc, double obs) {

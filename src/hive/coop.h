@@ -24,6 +24,7 @@
 
 #include <cstdint>
 
+#include "common/fields.h"
 #include "minivm/corpus.h"
 #include "net/simnet.h"
 
@@ -63,6 +64,18 @@ struct CoopConfig {
   // start. Deterministic: allocation becomes a pure function of
   // (entry, config, ledger state).
   YieldLedger* yield = nullptr;
+
+  static constexpr auto fields() {
+    using C = CoopConfig;
+    return std::tuple{
+        field(&C::num_workers), field(&C::strategy),
+        field(&C::steps_per_tick), field(&C::churn_prob),
+        field(&C::respawn_ticks), field(&C::death_detect_ticks),
+        field(&C::split_depth), field(&C::net), field(&C::seed),
+        field(&C::max_ticks),
+        exempt(&C::solver_cache, "a pointer World overwrites"),
+        exempt(&C::yield, "a pointer World overwrites")};
+  }
 };
 
 struct CoopResult {

@@ -23,6 +23,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/state_wire.h"
 #include "hive/bugs.h"
 #include "minivm/corpus.h"
@@ -62,6 +63,12 @@ struct FixerConfig {
   std::size_t validation_runs_region = 60;   // runs inside the crash region
   std::size_t validation_runs_domain = 120;  // runs across the whole domain
   std::uint64_t seed = 0xF1F1;
+
+  static constexpr auto fields() {
+    using C = FixerConfig;
+    return std::tuple{field(&C::next_fix_id), field(&C::validation_runs_region),
+                      field(&C::validation_runs_domain), field(&C::seed)};
+  }
 };
 
 class FixSynthesizer {

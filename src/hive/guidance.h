@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "minivm/corpus.h"
 #include "pod/protocol.h"
@@ -40,6 +41,12 @@ struct GuidancePlannerConfig {
   // from the historical default.
   std::size_t effective_frontier_budget(std::size_t max_directives) const {
     return frontier_budget != 0 ? frontier_budget : max_directives * 2;
+  }
+
+  static constexpr auto fields() {
+    using C = GuidancePlannerConfig;
+    return std::tuple{field(&C::solver), field(&C::max_paths_per_frontier),
+                      field(&C::frontier_budget)};
   }
 };
 

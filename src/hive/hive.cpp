@@ -17,67 +17,6 @@
 namespace softborg {
 
 namespace {
-// Hive telemetry mirroring HiveStats / IngestStats / ProofClosureStats into
-// the process-wide registry, so all hives of a process report one aggregate
-// view. The pipeline never touches these counters per event:
-// publish_metrics() pushes the stats-struct deltas at serial boundaries (end
-// of a trace or batch ingest, each proof attempt, process()). The stats
-// structs are deterministic across worker counts — the differential suites
-// pin this — so the counters are too (see DESIGN.md, "Observability").
-struct HiveMetrics {
-  obs::Counter& traces_ingested = obs::MetricsRegistry::global().counter(
-      "hive.traces_ingested_total");
-  obs::Counter& duplicates_dropped = obs::MetricsRegistry::global().counter(
-      "hive.duplicates_dropped_total");
-  obs::Counter& decode_failures = obs::MetricsRegistry::global().counter(
-      "hive.decode_failures_total");
-  obs::Counter& gated_traces = obs::MetricsRegistry::global().counter(
-      "hive.gated_traces_total");
-  obs::Counter& replay_failures = obs::MetricsRegistry::global().counter(
-      "hive.replay_failures_total");
-  obs::Counter& patched_skipped = obs::MetricsRegistry::global().counter(
-      "hive.patched_traces_skipped_total");
-  obs::Counter& replay_cache_hits = obs::MetricsRegistry::global().counter(
-      "hive.replay.cache_hits_total");
-  obs::Counter& replay_cache_misses = obs::MetricsRegistry::global().counter(
-      "hive.replay.cache_misses_total");
-  obs::Counter& paths_merged = obs::MetricsRegistry::global().counter(
-      "hive.tree.paths_merged_total");
-  obs::Counter& new_paths = obs::MetricsRegistry::global().counter(
-      "hive.tree.new_paths_total");
-  obs::Counter& bugs_found =
-      obs::MetricsRegistry::global().counter("hive.bugs_found_total");
-  obs::Counter& bugs_reopened =
-      obs::MetricsRegistry::global().counter("hive.bugs_reopened_total");
-  obs::Counter& fix_recurrences = obs::MetricsRegistry::global().counter(
-      "hive.fix_recurrences_total");
-  obs::Counter& fixes_approved = obs::MetricsRegistry::global().counter(
-      "hive.fixes_approved_total");
-  obs::Counter& repair_lab_entries = obs::MetricsRegistry::global().counter(
-      "hive.repair_lab_entries_total");
-  obs::Counter& proofs_revoked = obs::MetricsRegistry::global().counter(
-      "hive.proofs_revoked_total");
-  obs::Counter& proof_attempts =
-      obs::MetricsRegistry::global().counter("proof.attempts_total");
-  obs::Counter& proof_publishable =
-      obs::MetricsRegistry::global().counter("proof.publishable_total");
-  obs::Counter& proof_refuted =
-      obs::MetricsRegistry::global().counter("proof.refuted_total");
-  obs::Counter& solver_calls =
-      obs::MetricsRegistry::global().counter("solver.calls_total");
-  obs::Counter& solver_exact_hits =
-      obs::MetricsRegistry::global().counter("solver.exact_hits_total");
-  obs::Counter& solver_unsat_subsumed = obs::MetricsRegistry::global().counter(
-      "solver.unsat_subsumed_total");
-  obs::Counter& solver_models_reused = obs::MetricsRegistry::global().counter(
-      "solver.models_reused_total");
-
-  static HiveMetrics& get() {
-    static HiveMetrics m;
-    return m;
-  }
-};
-
 // Stage timings piggyback on the IngestStats timers instead of SB_SPAN: the
 // stages share locals across one function body, so scoped blocks don't fit.
 inline void record_stage_span(obs::SpanSite& site, double seconds) {
@@ -205,7 +144,6 @@ const CorpusEntry* Hive::prepare_released(const Trace& t) {
   const CorpusEntry* entry = entry_of(t.program);
   if (entry == nullptr) return nullptr;  // unknown program
 
-  if (t.patched) stats_.fixed_traces_seen++;  // fix telemetry
   latest_day_seen_ = std::max(latest_day_seen_, t.day);
 
   // Bug tracking first: every failure counts, even unreplayable ones.
@@ -475,7 +413,6 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
     // deferred decode is a new bug's exemplar, on first occurrence.
     const CorpusEntry* entry = entry_of(s.program);
     if (entry == nullptr) continue;  // unknown program
-    if (s.patched) stats_.fixed_traces_seen++;
     latest_day_seen_ = std::max(latest_day_seen_, s.day);
     if (s.outcome != Outcome::kOk) {
       Bug* bug =
@@ -678,6 +615,8 @@ ProofCertificate Hive::attempt_proof(ProgramId program, Property property) {
   return cert;
 }
 
+// The counters are process-wide, so all hives of a process report one
+// aggregate view.
 void Hive::publish_metrics() {
   if (!obs::enabled()) {
     // Kill switch: drop the outstanding deltas instead of deferring them.
@@ -687,80 +626,21 @@ void Hive::publish_metrics() {
     obs_published_coop_ = coop_stats_;
     return;
   }
-  auto& m = HiveMetrics::get();
-  const auto bump = [](obs::Counter& c, std::uint64_t now,
-                       std::uint64_t& base) {
-    if (now != base) {
-      c.add(now - base);
-      base = now;
-    }
-  };
-  bump(m.traces_ingested, stats_.traces_ingested,
-       obs_published_stats_.traces_ingested);
-  bump(m.duplicates_dropped, stats_.duplicates_dropped,
-       obs_published_stats_.duplicates_dropped);
-  bump(m.decode_failures, stats_.decode_failures,
-       obs_published_stats_.decode_failures);
-  bump(m.gated_traces, stats_.gated_traces,
-       obs_published_stats_.gated_traces);
-  bump(m.replay_failures, stats_.replay_failures,
-       obs_published_stats_.replay_failures);
-  bump(m.patched_skipped, stats_.patched_traces_skipped,
-       obs_published_stats_.patched_traces_skipped);
-  bump(m.paths_merged, stats_.paths_merged,
-       obs_published_stats_.paths_merged);
-  bump(m.new_paths, stats_.new_paths, obs_published_stats_.new_paths);
-  bump(m.bugs_found, stats_.bugs_found, obs_published_stats_.bugs_found);
-  bump(m.bugs_reopened, stats_.bugs_reopened,
-       obs_published_stats_.bugs_reopened);
-  bump(m.fix_recurrences, stats_.fix_recurrences,
-       obs_published_stats_.fix_recurrences);
-  bump(m.fixes_approved, stats_.fixes_approved,
-       obs_published_stats_.fixes_approved);
-  bump(m.repair_lab_entries, stats_.repair_lab_entries,
-       obs_published_stats_.repair_lab_entries);
-  bump(m.proofs_revoked, stats_.proofs_revoked,
-       obs_published_stats_.proofs_revoked);
-  bump(m.replay_cache_hits, ingest_stats_.replay_cache_hits,
-       obs_published_ingest_.replay_cache_hits);
-  bump(m.replay_cache_misses, ingest_stats_.replay_cache_misses,
-       obs_published_ingest_.replay_cache_misses);
-  bump(m.proof_attempts, proof_stats_.attempts,
-       obs_published_proof_.attempts);
-  bump(m.proof_publishable, proof_stats_.publishable,
-       obs_published_proof_.publishable);
-  bump(m.proof_refuted, proof_stats_.refuted, obs_published_proof_.refuted);
-  bump(m.solver_calls, proof_stats_.solver_calls,
-       obs_published_proof_.solver_calls);
-  bump(m.solver_exact_hits, proof_stats_.solver_cache_hits,
-       obs_published_proof_.solver_cache_hits);
-  bump(m.solver_unsat_subsumed, proof_stats_.solver_unsat_subsumed,
-       obs_published_proof_.solver_unsat_subsumed);
-  bump(m.solver_models_reused, proof_stats_.solver_models_reused,
-       obs_published_proof_.solver_models_reused);
-  // Coop counters are named per strategy and registered lazily — coop runs
-  // are rare (at most a handful per day), so the registry lookup at this
-  // serial barrier is irrelevant next to the run itself.
+  static const obs::CounterSet<HiveStats> hive_counters;
+  static const obs::CounterSet<IngestStats> ingest_counters;
+  static const obs::CounterSet<ProofClosureStats> proof_counters;
+  hive_counters.publish(stats_, obs_published_stats_);
+  ingest_counters.publish(ingest_stats_, obs_published_ingest_);
+  proof_counters.publish(proof_stats_, obs_published_proof_);
+  // Coop counters are named per strategy and registered when a strategy
+  // first runs — coop runs are rare (at most a handful per day), so the
+  // registry lookups at this serial barrier are irrelevant next to the run.
   for (std::size_t s = 0; s < coop_stats_.size(); ++s) {
-    const CoopStrategyStats& cur = coop_stats_[s];
-    CoopStrategyStats& base = obs_published_coop_[s];
-    if (cur == base) continue;
-    auto& reg = obs::MetricsRegistry::global();
-    const std::string prefix =
+    if (coop_stats_[s] == obs_published_coop_[s]) continue;
+    obs::CounterSet<CoopStrategyStats>(
         std::string("coop.") +
-        strategy_name(static_cast<PartitionStrategy>(s)) + ".";
-    bump(reg.counter(prefix + "runs_total"), cur.runs, base.runs);
-    bump(reg.counter(prefix + "completed_total"), cur.completed,
-         base.completed);
-    bump(reg.counter(prefix + "ticks_total"), cur.ticks, base.ticks);
-    bump(reg.counter(prefix + "useful_steps_total"), cur.useful_steps,
-         base.useful_steps);
-    bump(reg.counter(prefix + "wasted_steps_total"), cur.wasted_steps,
-         base.wasted_steps);
-    bump(reg.counter(prefix + "idle_ticks_total"), cur.idle_ticks,
-         base.idle_ticks);
-    bump(reg.counter(prefix + "worker_deaths_total"), cur.worker_deaths,
-         base.worker_deaths);
+        strategy_name(static_cast<PartitionStrategy>(s)) + ".")
+        .publish(coop_stats_[s], obs_published_coop_[s]);
   }
 }
 
@@ -844,36 +724,9 @@ std::vector<std::uint64_t> sorted_map_keys(const Map& m) {
 }  // namespace
 
 void Hive::save_state(Bytes& out) const {
-  put_varint(out, stats_.traces_ingested);
-  put_varint(out, stats_.duplicates_dropped);
-  put_varint(out, stats_.decode_failures);
-  put_varint(out, stats_.replay_failures);
-  put_varint(out, stats_.patched_traces_skipped);
-  put_varint(out, stats_.gated_traces);
-  put_varint(out, stats_.paths_merged);
-  put_varint(out, stats_.new_paths);
-  put_varint(out, stats_.bugs_found);
-  put_varint(out, stats_.fixes_approved);
-  put_varint(out, stats_.repair_lab_entries);
-  put_varint(out, stats_.proofs_revoked);
-  put_varint(out, stats_.fixed_traces_seen);
-  put_varint(out, stats_.fix_recurrences);
-  put_varint(out, stats_.bugs_reopened);
-  put_varint(out, ingest_stats_.batches);
-  put_varint(out, ingest_stats_.batch_traces);
-  put_varint(out, ingest_stats_.replay_cache_hits);
-  put_varint(out, ingest_stats_.replay_cache_misses);
-  put_f64(out, ingest_stats_.decode_seconds);
-  put_f64(out, ingest_stats_.serial_seconds);
-  put_f64(out, ingest_stats_.replay_seconds);
-  put_f64(out, ingest_stats_.merge_seconds);
-  put_varint(out, proof_stats_.attempts);
-  put_varint(out, proof_stats_.publishable);
-  put_varint(out, proof_stats_.refuted);
-  put_varint(out, proof_stats_.solver_calls);
-  put_varint(out, proof_stats_.solver_cache_hits);
-  put_varint(out, proof_stats_.solver_unsat_subsumed);
-  put_varint(out, proof_stats_.solver_models_reused);
+  encode_fields(out, stats_);
+  encode_fields(out, ingest_stats_);
+  encode_fields(out, proof_stats_);
 
   const auto lock_keys = sorted_map_keys(locks_);
   put_varint(out, lock_keys.size());
@@ -930,48 +783,13 @@ void Hive::save_state(Bytes& out) const {
     put_bool(out, published.revoked);
   }
 
-  for (const CoopStrategyStats& cs : coop_stats_) {
-    put_varint(out, cs.runs);
-    put_varint(out, cs.completed);
-    put_varint(out, cs.ticks);
-    put_varint(out, cs.useful_steps);
-    put_varint(out, cs.wasted_steps);
-    put_varint(out, cs.idle_ticks);
-    put_varint(out, cs.worker_deaths);
-  }
+  for (const CoopStrategyStats& cs : coop_stats_) encode_fields(out, cs);
 }
 
 bool Hive::load_state(StateReader& r) {
-  stats_.traces_ingested = r.u64();
-  stats_.duplicates_dropped = r.u64();
-  stats_.decode_failures = r.u64();
-  stats_.replay_failures = r.u64();
-  stats_.patched_traces_skipped = r.u64();
-  stats_.gated_traces = r.u64();
-  stats_.paths_merged = r.u64();
-  stats_.new_paths = r.u64();
-  stats_.bugs_found = r.u64();
-  stats_.fixes_approved = r.u64();
-  stats_.repair_lab_entries = r.u64();
-  stats_.proofs_revoked = r.u64();
-  stats_.fixed_traces_seen = r.u64();
-  stats_.fix_recurrences = r.u64();
-  stats_.bugs_reopened = r.u64();
-  ingest_stats_.batches = r.u64();
-  ingest_stats_.batch_traces = r.u64();
-  ingest_stats_.replay_cache_hits = r.u64();
-  ingest_stats_.replay_cache_misses = r.u64();
-  ingest_stats_.decode_seconds = r.f64();
-  ingest_stats_.serial_seconds = r.f64();
-  ingest_stats_.replay_seconds = r.f64();
-  ingest_stats_.merge_seconds = r.f64();
-  proof_stats_.attempts = r.u64();
-  proof_stats_.publishable = r.u64();
-  proof_stats_.refuted = r.u64();
-  proof_stats_.solver_calls = r.u64();
-  proof_stats_.solver_cache_hits = r.u64();
-  proof_stats_.solver_unsat_subsumed = r.u64();
-  proof_stats_.solver_models_reused = r.u64();
+  decode_fields(r, stats_);
+  decode_fields(r, ingest_stats_);
+  decode_fields(r, proof_stats_);
 
   locks_.clear();
   const std::uint64_t n_locks = r.count(2);
@@ -1066,15 +884,7 @@ bool Hive::load_state(StateReader& r) {
     proofs_.push_back(std::move(published));
   }
 
-  for (CoopStrategyStats& cs : coop_stats_) {
-    cs.runs = r.u64();
-    cs.completed = r.u64();
-    cs.ticks = r.u64();
-    cs.useful_steps = r.u64();
-    cs.wasted_steps = r.u64();
-    cs.idle_ticks = r.u64();
-    cs.worker_deaths = r.u64();
-  }
+  for (CoopStrategyStats& cs : coop_stats_) decode_fields(r, cs);
   if (!r.ok()) return false;
 
   // The run that saved this state already published its counter totals into

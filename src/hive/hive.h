@@ -33,6 +33,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/flat_hash.h"
 #include "common/thread_pool.h"
 
@@ -74,6 +75,21 @@ struct HiveConfig {
   FixerConfig fixer;
   ProofBudget proof_budget;
   GuidancePlannerConfig guidance;
+
+  static constexpr auto fields() {
+    using C = HiveConfig;
+    return std::tuple{
+        field(&C::auto_fix_threshold), field(&C::recurrence_grace_days),
+        field(&C::k_anonymity), field(&C::seed),
+        exempt(&C::ingest_threads,
+               "results are identical for every thread count (pinned by "
+               "IngestBatch.CounterSnapshotsByteIdenticalAcrossIngestThreads)"),
+        exempt(&C::replay_cache_capacity,
+               "the replay cache is not persisted: a resumed hive starts it "
+               "cold whatever its size"),
+        field(&C::solver_cache), field(&C::next_proof_id), field(&C::fixer),
+        field(&C::proof_budget), field(&C::guidance)};
+  }
 };
 
 struct HiveStats {
@@ -89,11 +105,29 @@ struct HiveStats {
   std::uint64_t fixes_approved = 0;
   std::uint64_t repair_lab_entries = 0;
   std::uint64_t proofs_revoked = 0;
-  std::uint64_t fixed_traces_seen = 0;   // fix-intervention telemetry
   std::uint64_t fix_recurrences = 0;     // a fixed bug's signature came back
   std::uint64_t bugs_reopened = 0;
 
   bool operator==(const HiveStats&) const = default;
+
+  static constexpr auto fields() {
+    using S = HiveStats;
+    return std::tuple{
+        field(&S::traces_ingested, "hive.traces_ingested_total"),
+        field(&S::duplicates_dropped, "hive.duplicates_dropped_total"),
+        field(&S::decode_failures, "hive.decode_failures_total"),
+        field(&S::replay_failures, "hive.replay_failures_total"),
+        field(&S::patched_traces_skipped, "hive.patched_traces_skipped_total"),
+        field(&S::gated_traces, "hive.gated_traces_total"),
+        field(&S::paths_merged, "hive.tree.paths_merged_total"),
+        field(&S::new_paths, "hive.tree.new_paths_total"),
+        field(&S::bugs_found, "hive.bugs_found_total"),
+        field(&S::fixes_approved, "hive.fixes_approved_total"),
+        field(&S::repair_lab_entries, "hive.repair_lab_entries_total"),
+        field(&S::proofs_revoked, "hive.proofs_revoked_total"),
+        field(&S::fix_recurrences, "hive.fix_recurrences_total"),
+        field(&S::bugs_reopened, "hive.bugs_reopened_total")};
+  }
 };
 
 // Ingestion-pipeline telemetry; all fields cover ingest_batch() only (the
@@ -118,6 +152,16 @@ struct IngestStats {
     const double secs =
         decode_seconds + serial_seconds + replay_seconds + merge_seconds;
     return secs <= 0.0 ? 0.0 : static_cast<double>(batch_traces) / secs;
+  }
+
+  static constexpr auto fields() {
+    using S = IngestStats;
+    return std::tuple{
+        field(&S::batches), field(&S::batch_traces),
+        field(&S::replay_cache_hits, "hive.replay.cache_hits_total"),
+        field(&S::replay_cache_misses, "hive.replay.cache_misses_total"),
+        field(&S::decode_seconds), field(&S::serial_seconds),
+        field(&S::replay_seconds), field(&S::merge_seconds)};
   }
 };
 
@@ -205,6 +249,18 @@ class Hive {
       return solver_cache_hits + solver_unsat_subsumed + solver_models_reused;
     }
     bool operator==(const ProofClosureStats&) const = default;
+
+    static constexpr auto fields() {
+      using S = ProofClosureStats;
+      return std::tuple{
+          field(&S::attempts, "proof.attempts_total"),
+          field(&S::publishable, "proof.publishable_total"),
+          field(&S::refuted, "proof.refuted_total"),
+          field(&S::solver_calls, "solver.calls_total"),
+          field(&S::solver_cache_hits, "solver.exact_hits_total"),
+          field(&S::solver_unsat_subsumed, "solver.unsat_subsumed_total"),
+          field(&S::solver_models_reused, "solver.models_reused_total")};
+    }
   };
   const ProofClosureStats& proof_stats() const { return proof_stats_; }
 
@@ -226,6 +282,18 @@ class Hive {
     std::uint64_t worker_deaths = 0;
 
     bool operator==(const CoopStrategyStats&) const = default;
+
+    // Counter names are suffixes under "coop.<strategy>.".
+    static constexpr auto fields() {
+      using S = CoopStrategyStats;
+      return std::tuple{field(&S::runs, "runs_total"),
+                        field(&S::completed, "completed_total"),
+                        field(&S::ticks, "ticks_total"),
+                        field(&S::useful_steps, "useful_steps_total"),
+                        field(&S::wasted_steps, "wasted_steps_total"),
+                        field(&S::idle_ticks, "idle_ticks_total"),
+                        field(&S::worker_deaths, "worker_deaths_total")};
+    }
   };
   // Folds one finished coop run into the per-strategy ledger and publishes
   // the deltas (a serial barrier: coop runs are single-threaded).

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/state_wire.h"
 #include "minivm/corpus.h"
 #include "sym/executor.h"
@@ -90,6 +91,13 @@ struct ProofBudget {
   // tree-walk cost; ProofCertificate::frontier_clips records every round
   // where the tree held more open directions than this window.
   std::size_t frontier_budget = 64;
+
+  static constexpr auto fields() {
+    using C = ProofBudget;
+    return std::tuple{field(&C::max_gap_closures),
+                      field(&C::max_symbolic_paths), field(&C::solver),
+                      field(&C::frontier_budget)};
+  }
 };
 
 class ProofEngine {

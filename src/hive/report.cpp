@@ -67,7 +67,7 @@ std::string hive_status_report(Hive& hive) {
       static_cast<unsigned long long>(s.bugs_found),
       static_cast<unsigned long long>(s.fixes_approved),
       static_cast<unsigned long long>(s.repair_lab_entries),
-      static_cast<unsigned long long>(s.fixed_traces_seen),
+      static_cast<unsigned long long>(s.patched_traces_skipped),
       static_cast<unsigned long long>(s.fix_recurrences),
       static_cast<unsigned long long>(s.bugs_reopened));
   const Hive::ProofClosureStats& ps = hive.proof_stats();

@@ -480,4 +480,9 @@ std::vector<CorpusEntry> standard_corpus() {
   return corpus;
 }
 
+void put_corpus_ids(Bytes& out, const std::vector<CorpusEntry>& corpus) {
+  put_varint(out, corpus.size());
+  for (const auto& entry : corpus) put_varint(out, entry.program.id.value);
+}
+
 }  // namespace softborg

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/varint.h"
 #include "minivm/program.h"
 
 namespace softborg {
@@ -88,5 +89,9 @@ CorpusEntry make_retry_storm();
 
 // The standard mixed corpus used by fleet experiments.
 std::vector<CorpusEntry> standard_corpus();
+
+// Appends the corpus identity (entry count, then program ids in order) to a
+// resume fingerprint, so a snapshot taken over another corpus is refused.
+void put_corpus_ids(Bytes& out, const std::vector<CorpusEntry>& corpus);
 
 }  // namespace softborg

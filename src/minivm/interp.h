@@ -93,11 +93,6 @@ ExecResult execute(const Program& program, const ExecConfig& config);
 ExecResult execute(const Program& program, const DecodedProgram& decoded,
                    const ExecConfig& config);
 
-// The pre-dispatch-rebuild nested-switch interpreter, kept verbatim as a
-// differential baseline (interp_ref.cpp). Semantically identical to
-// execute(); ignores enable_fusion / pair_counts. Tests and benchmarks only.
-ExecResult execute_reference(const Program& program, const ExecConfig& config);
-
 // The process-wide default environment model (immutable).
 const EnvModel& default_env();
 

@@ -7,39 +7,6 @@
 
 namespace softborg {
 
-namespace {
-// Network telemetry mirroring NetStats, but process-wide: every SimNet
-// instance feeds the same counters, so a fleet with several nets (tests,
-// nested worlds) reports aggregate traffic. Counters advance at tick
-// boundaries (publish_metrics), never per message. `net.in_flight` is a
-// gauge of messages currently queued for delivery — a depth, not a count,
-// so it is exported but excluded from the deterministic counter surface.
-struct NetMetrics {
-  obs::Counter& sent =
-      obs::MetricsRegistry::global().counter("net.sent_total");
-  obs::Counter& delivered =
-      obs::MetricsRegistry::global().counter("net.delivered_total");
-  obs::Counter& dropped =
-      obs::MetricsRegistry::global().counter("net.dropped_total");
-  obs::Counter& duplicated =
-      obs::MetricsRegistry::global().counter("net.duplicated_total");
-  obs::Counter& blocked_at_send =
-      obs::MetricsRegistry::global().counter("net.blocked_at_send_total");
-  obs::Counter& dropped_in_flight =
-      obs::MetricsRegistry::global().counter("net.dropped_in_flight_total");
-  obs::Counter& bytes_sent =
-      obs::MetricsRegistry::global().counter("net.bytes_sent_total");
-  obs::Counter& payloads_copied =
-      obs::MetricsRegistry::global().counter("net.payloads_copied_total");
-  obs::Gauge& in_flight = obs::MetricsRegistry::global().gauge("net.in_flight");
-
-  static NetMetrics& get() {
-    static NetMetrics m;
-    return m;
-  }
-};
-}  // namespace
-
 Endpoint SimNet::add_endpoint() {
   inboxes_.emplace_back();
   return static_cast<Endpoint>(inboxes_.size() - 1);
@@ -104,6 +71,11 @@ void SimNet::tick() {
   publish_metrics();
 }
 
+// Network telemetry is process-wide: every SimNet instance feeds the same
+// counters, so a fleet with several nets (tests, nested worlds) reports
+// aggregate traffic. `net.in_flight` is a gauge of messages currently queued
+// for delivery — a depth, not a count, so it is exported but excluded from
+// the deterministic counter surface.
 void SimNet::publish_metrics() {
   if (!obs::enabled()) {
     // Kill switch: drop the outstanding deltas instead of deferring them.
@@ -111,28 +83,13 @@ void SimNet::publish_metrics() {
     obs_published_depth_ = queued_;
     return;
   }
-  auto& m = NetMetrics::get();
-  const auto bump = [](obs::Counter& c, std::uint64_t now,
-                       std::uint64_t& base) {
-    if (now != base) {
-      c.add(now - base);
-      base = now;
-    }
-  };
-  bump(m.sent, stats_.sent, obs_published_.sent);
-  bump(m.delivered, stats_.delivered, obs_published_.delivered);
-  bump(m.dropped, stats_.dropped, obs_published_.dropped);
-  bump(m.duplicated, stats_.duplicated, obs_published_.duplicated);
-  bump(m.blocked_at_send, stats_.blocked_at_send,
-       obs_published_.blocked_at_send);
-  bump(m.dropped_in_flight, stats_.dropped_in_flight,
-       obs_published_.dropped_in_flight);
-  bump(m.bytes_sent, stats_.bytes_sent, obs_published_.bytes_sent);
-  bump(m.payloads_copied, stats_.payloads_copied,
-       obs_published_.payloads_copied);
+  static const obs::CounterSet<NetStats> counters;
+  static obs::Gauge& in_flight =
+      obs::MetricsRegistry::global().gauge("net.in_flight");
+  counters.publish(stats_, obs_published_);
   if (queued_ != obs_published_depth_) {
     // add() rather than set(): concurrent nets aggregate their depths.
-    m.in_flight.add(queued_ - obs_published_depth_);
+    in_flight.add(queued_ - obs_published_depth_);
     obs_published_depth_ = queued_;
   }
 }
@@ -187,14 +144,7 @@ void SimNet::save_state(Bytes& out) const {
   }
   put_varint(out, isolated_.size());
   for (const Endpoint ep : isolated_) put_varint(out, ep);
-  put_varint(out, stats_.sent);
-  put_varint(out, stats_.delivered);
-  put_varint(out, stats_.dropped);
-  put_varint(out, stats_.duplicated);
-  put_varint(out, stats_.blocked_at_send);
-  put_varint(out, stats_.dropped_in_flight);
-  put_varint(out, stats_.bytes_sent);
-  put_varint(out, stats_.payloads_copied);
+  encode_fields(out, stats_);
 }
 
 bool SimNet::load_state(StateReader& r) {
@@ -239,14 +189,7 @@ bool SimNet::load_state(StateReader& r) {
   for (std::uint64_t i = 0; i < n_isolated && r.ok(); ++i) {
     if (!isolated_.insert(r.u64()).second) r.fail();
   }
-  stats_.sent = r.u64();
-  stats_.delivered = r.u64();
-  stats_.dropped = r.u64();
-  stats_.duplicated = r.u64();
-  stats_.blocked_at_send = r.u64();
-  stats_.dropped_in_flight = r.u64();
-  stats_.bytes_sent = r.u64();
-  stats_.payloads_copied = r.u64();
+  decode_fields(r, stats_);
   if (!r.ok()) return false;
   // The saving run already published these totals into the process-global
   // registry; baseline here so the restored deltas are not re-published.

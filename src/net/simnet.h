@@ -12,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "common/state_wire.h"
 #include "common/varint.h"
@@ -36,6 +37,13 @@ struct NetConfig {
   std::uint32_t min_latency_ticks = 1;
   std::uint32_t max_latency_ticks = 3;
   std::uint64_t seed = 1;
+
+  static constexpr auto fields() {
+    using C = NetConfig;
+    return std::tuple{field(&C::drop_prob), field(&C::dup_prob),
+                      field(&C::min_latency_ticks),
+                      field(&C::max_latency_ticks), field(&C::seed)};
+  }
 };
 
 struct NetStats {
@@ -60,6 +68,19 @@ struct NetStats {
   std::uint64_t payloads_copied = 0;
 
   bool operator==(const NetStats&) const = default;
+
+  static constexpr auto fields() {
+    using S = NetStats;
+    return std::tuple{
+        field(&S::sent, "net.sent_total"),
+        field(&S::delivered, "net.delivered_total"),
+        field(&S::dropped, "net.dropped_total"),
+        field(&S::duplicated, "net.duplicated_total"),
+        field(&S::blocked_at_send, "net.blocked_at_send_total"),
+        field(&S::dropped_in_flight, "net.dropped_in_flight_total"),
+        field(&S::bytes_sent, "net.bytes_sent_total"),
+        field(&S::payloads_copied, "net.payloads_copied_total")};
+  }
 };
 
 class SimNet {

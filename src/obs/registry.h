@@ -42,6 +42,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/metrics.h"
 
 namespace softborg::obs {
@@ -206,5 +207,52 @@ inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 void set_enabled(bool on);
+
+// Delta publication of a stats struct: one registry counter per field whose
+// list entry names a counter (common/fields.h), under `prefix`, resolved
+// once at construction. Callers keep a baseline copy of the struct and hold
+// the set in a function-local static, so a publish costs one compare per
+// field. A double field counts whole microseconds (its counter is named
+// `*_us_total`).
+template <typename T>
+class CounterSet {
+ public:
+  explicit CounterSet(std::string_view prefix = {}) {
+    std::size_t i = 0;
+    for_each_field<T>([&](const auto& entry) {
+      if (entry.counter != nullptr) {
+        counters_[i] = &MetricsRegistry::global().counter(
+            std::string(prefix) + entry.counter);
+      }
+      ++i;
+    });
+  }
+
+  // Adds each published field's growth since `base` to its counter, then
+  // advances `base` to `now`.
+  void publish(const T& now, T& base) const {
+    std::size_t i = 0;
+    for_each_field<T>([&](const auto& entry) {
+      if (Counter* c = counters_[i++]) {
+        const std::uint64_t n = count(now.*entry.member);
+        const std::uint64_t b = count(base.*entry.member);
+        if (n > b) c->add(n - b);
+      }
+    });
+    base = now;
+  }
+
+ private:
+  template <typename M>
+  static std::uint64_t count(M v) {
+    if constexpr (std::is_floating_point_v<M>) {
+      return static_cast<std::uint64_t>(v * 1e6);
+    } else {
+      return v;
+    }
+  }
+
+  std::array<Counter*, kFieldCount<T>> counters_{};
+};
 
 }  // namespace softborg::obs

@@ -200,10 +200,7 @@ void Pod::save_state(Bytes& out) const {
   for (const std::uint64_t id : installed_fix_ids_) put_varint(out, id);
   put_varint(out, guidance_.size());
   for (const GuidanceDirective& g : guidance_) put_blob(out, encode_guidance(g));
-  put_varint(out, stats_.runs);
-  put_varint(out, stats_.failures);
-  put_varint(out, stats_.fix_interventions);
-  put_varint(out, stats_.guided_runs);
+  encode_fields(out, stats_);
   put_varint(out, next_trace_seq_);
 }
 
@@ -275,10 +272,7 @@ bool Pod::load_state(StateReader& r) {
     }
     guidance_.push_back(std::move(*g));
   }
-  stats_.runs = r.u64();
-  stats_.failures = r.u64();
-  stats_.fix_interventions = r.u64();
-  stats_.guided_runs = r.u64();
+  decode_fields(r, stats_);
   next_trace_seq_ = r.u64();
   if (r.ok() && next_trace_seq_ == 0) r.fail();  // seq starts at 1
   return r.ok();

@@ -20,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "common/state_wire.h"
 #include "minivm/corpus.h"
@@ -57,6 +58,13 @@ struct PodConfig {
   // either way (tests/dispatch_diff_test.cpp); off is only useful for
   // dispatch-overhead experiments.
   bool enable_fusion = true;
+
+  static constexpr auto fields() {
+    using C = PodConfig;
+    return std::tuple{field(&C::granularity), field(&C::sampling_rate),
+                      field(&C::anonymize), field(&C::max_steps),
+                      field(&C::enable_fusion)};
+  }
 };
 
 struct PodRun {
@@ -73,6 +81,12 @@ struct PodStats {
   std::uint64_t guided_runs = 0;
 
   bool operator==(const PodStats&) const = default;
+
+  static constexpr auto fields() {
+    using S = PodStats;
+    return std::tuple{field(&S::runs), field(&S::failures),
+                      field(&S::fix_interventions), field(&S::guided_runs)};
+  }
 };
 
 class Pod {

@@ -21,6 +21,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/state_wire.h"
 #include "trace/trace.h"
 
@@ -32,6 +33,13 @@ struct AnonymizeConfig {
   bool quantize_day = true;            // round capture day to weeks
   bool coarsen_syscalls = true;        // drop per-call indices
   std::uint32_t bit_suppression = 0;   // drop every n-th bit (0 = keep all)
+
+  static constexpr auto fields() {
+    using C = AnonymizeConfig;
+    return std::tuple{field(&C::strip_pod_id), field(&C::pod_bucket_count),
+                      field(&C::quantize_day), field(&C::coarsen_syscalls),
+                      field(&C::bit_suppression)};
+  }
 };
 
 // Scrubs one trace in place according to `config`. Suppressed bits shrink

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.h"
 #include "sym/expr.h"
 
 namespace softborg {
@@ -54,6 +55,10 @@ struct SolveResult {
 // caller always wins and the knobs can no longer drift independently.
 struct SolverOptions {
   std::uint64_t max_nodes = 200'000;
+
+  static constexpr auto fields() {
+    return std::tuple{field(&SolverOptions::max_nodes)};
+  }
 };
 
 // Decides satisfiability of `pc` with input i ranging over

@@ -527,16 +527,8 @@ bool get_values(StateReader& r, std::vector<Value>& vs) {
 }  // namespace
 
 void SolverCache::save_state(Bytes& out) const {
-  put_varint(out, config_.max_entries);
-  put_varint(out, config_.max_unsat_cores);
-  put_varint(out, config_.max_models);
-  put_varint(out, config_.model_probe_limit);
-  put_varint(out, stats_.lookups);
-  put_varint(out, stats_.exact_hits);
-  put_varint(out, stats_.unsat_subsumed);
-  put_varint(out, stats_.models_reused);
-  put_varint(out, stats_.insertions);
-  put_varint(out, stats_.resets);
+  encode_fields(out, config_);
+  encode_fields(out, stats_);
   // Slot-for-slot dump of the occupied exact entries: reinserting by hash
   // would not reproduce wraparound probe sequences, so indices are explicit.
   put_varint(out, exact_.size());
@@ -579,23 +571,12 @@ void SolverCache::save_state(Bytes& out) const {
 
 bool SolverCache::load_state(StateReader& r) {
   SolverCacheConfig cfg;
-  cfg.max_entries = r.u64();
-  cfg.max_unsat_cores = r.u64();
-  cfg.max_models = r.u64();
-  cfg.model_probe_limit = r.u64();
-  if (!r.ok() || cfg.max_entries != config_.max_entries ||
-      cfg.max_unsat_cores != config_.max_unsat_cores ||
-      cfg.max_models != config_.max_models ||
-      cfg.model_probe_limit != config_.model_probe_limit) {
+  decode_fields(r, cfg);
+  if (!r.ok() || !(cfg == config_)) {
     r.fail();  // differently-configured cache: eviction semantics diverge
     return false;
   }
-  stats_.lookups = r.u64();
-  stats_.exact_hits = r.u64();
-  stats_.unsat_subsumed = r.u64();
-  stats_.models_reused = r.u64();
-  stats_.insertions = r.u64();
-  stats_.resets = r.u64();
+  decode_fields(r, stats_);
 
   const std::uint64_t table_size = r.u64();
   const std::uint64_t stored_count = r.u64();

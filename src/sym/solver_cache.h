@@ -46,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/state_wire.h"
 #include "common/varint.h"
 #include "sym/csolver.h"
@@ -64,6 +65,14 @@ struct SolverCacheConfig {
   // ...of which only the most recent `model_probe_limit` are tried per
   // query (each probe costs one satisfies() evaluation).
   std::size_t model_probe_limit = 8;
+
+  bool operator==(const SolverCacheConfig&) const = default;
+
+  static constexpr auto fields() {
+    using C = SolverCacheConfig;
+    return std::tuple{field(&C::max_entries), field(&C::max_unsat_cores),
+                      field(&C::max_models), field(&C::model_probe_limit)};
+  }
 };
 
 // How a query was answered.
@@ -91,6 +100,13 @@ struct SolverCacheStats {
     return lookups == 0
                ? 0.0
                : static_cast<double>(hits()) / static_cast<double>(lookups);
+  }
+
+  static constexpr auto fields() {
+    using S = SolverCacheStats;
+    return std::tuple{field(&S::lookups), field(&S::exact_hits),
+                      field(&S::unsat_subsumed), field(&S::models_reused),
+                      field(&S::insertions), field(&S::resets)};
   }
 };
 

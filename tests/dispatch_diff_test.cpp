@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "interp_ref.h"
 #include "minivm/builder.h"
 #include "minivm/corpus.h"
 #include "minivm/decode.h"

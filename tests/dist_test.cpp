@@ -162,6 +162,9 @@ TEST(Control, WorkerStatsRoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, m);
   EXPECT_FALSE(decode_worker_stats(Bytes{1, 2}).has_value());
+  Bytes trailing = encode_worker_stats(m);
+  trailing.push_back(0);
+  EXPECT_FALSE(decode_worker_stats(trailing).has_value());
 }
 
 // --- fleet harness ----------------------------------------------------------
@@ -446,6 +449,52 @@ TEST(DistFleet, OverloadShedsAndStaysBounded) {
   EXPECT_TRUE(router.quiescent());
   EXPECT_EQ(s.received, wires.size());
   EXPECT_EQ(s.forwarded + s.shed, s.received);
+}
+
+// --- worker durability -----------------------------------------------------
+
+// A restarted worker resumes only a snapshot taken under its own hive config
+// and corpus: anything else would resume silently and diverge.
+TEST(DistWorker, ResumeRefusesAnotherHiveConfigOrCorpus) {
+  const auto corpus = standard_corpus();
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("sb_dist_worker_resume_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  WorkerConfig config;
+  config.snapshot_dir = dir;
+  {
+    ShardWorker saver(1, &corpus, config);
+    saver.hive().ingest_batch(make_workload(corpus, 64, 5));
+    ASSERT_EQ(saver.hive().stats().traces_ingested, 64u);
+    ASSERT_TRUE(saver.write_snapshot());
+  }
+  const auto resumes = [&](const std::vector<CorpusEntry>& c,
+                           const WorkerConfig& cfg) {
+    ShardWorker worker(1, &c, cfg);
+    const bool resumed = worker.try_resume();
+    // A refused snapshot leaves the worker cold.
+    EXPECT_EQ(worker.hive().stats().traces_ingested, resumed ? 64u : 0u);
+    return resumed;
+  };
+  EXPECT_TRUE(resumes(corpus, config));
+  WorkerConfig skewed = config;
+  skewed.hive.auto_fix_threshold = 0.5;
+  EXPECT_FALSE(resumes(corpus, skewed));
+  skewed = config;
+  skewed.hive.proof_budget.max_gap_closures++;
+  EXPECT_FALSE(resumes(corpus, skewed));
+  // Every saved program id still exists in the larger corpus.
+  auto larger = corpus;
+  larger.push_back(make_config_space(3));
+  EXPECT_FALSE(resumes(larger, config));
+  // ingest_threads is exempt from the fingerprint: results do not depend on
+  // it.
+  WorkerConfig threads = config;
+  threads.hive.ingest_threads = 2;
+  EXPECT_TRUE(resumes(corpus, threads));
+  fs::remove_all(dir);
 }
 
 // --- socket transport -------------------------------------------------------

@@ -1,11 +1,12 @@
 // The pre-threaded-dispatch interpreter, frozen verbatim as the
 // differential baseline for the predecode + direct-threaded core in
-// interp.cpp. Do not optimize this file: its value is that it is the
-// nested-switch machine the dispatch rebuild must stay byte-identical to
+// src/minivm/interp.cpp. Do not optimize this file: its value is that it is
+// the nested-switch machine the dispatch rebuild must stay byte-identical to
 // (tests/dispatch_diff_test.cpp) and the baseline BM_PodExecute measures
 // against. It ignores the dispatch-era ExecConfig knobs (enable_fusion,
-// pair_counts) by construction.
-#include "minivm/interp.h"
+// pair_counts) by construction. Only dispatch_diff_test and
+// bench_pod_execute link it.
+#include "interp_ref.h"
 
 #include <algorithm>
 #include <deque>

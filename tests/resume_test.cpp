@@ -162,6 +162,14 @@ TEST_F(ResumeTest, ConfigSkewRefused) {
        [](WorldConfig& c) { c.hive.guidance.max_paths_per_frontier++; }},
       {"guidance frontier_budget",
        [](WorldConfig& c) { c.hive.guidance.frontier_budget++; }},
+      // Cooperative exploration builds its SimNet from coop.net.
+      {"coop.net drop_prob", [](WorldConfig& c) { c.coop.net.drop_prob = 0.3; }},
+      {"coop.net dup_prob", [](WorldConfig& c) { c.coop.net.dup_prob = 0.1; }},
+      {"coop.net min_latency_ticks",
+       [](WorldConfig& c) { c.coop.net.min_latency_ticks = 2; }},
+      {"coop.net max_latency_ticks",
+       [](WorldConfig& c) { c.coop.net.max_latency_ticks = 9; }},
+      {"coop.net seed", [](WorldConfig& c) { c.coop.net.seed = 7; }},
   };
   std::string err;
   for (const auto& [knob, skew] : skews) {
@@ -173,11 +181,23 @@ TEST_F(ResumeTest, ConfigSkewRefused) {
     EXPECT_NE(err.find("fingerprint"), std::string::npos) << knob << ": " << err;
   }
 
-  // `days` is exempt: extending the horizon is a legitimate resume.
-  WorldConfig longer = resume_config();
-  longer.days = 40;
-  World extender(standard_corpus(), longer);
-  EXPECT_TRUE(extender.resume_from_snapshot(dir_, &err)) << err;
+  // Exempt fields: a resume under any of them changed alone is legitimate.
+  const std::vector<std::pair<std::string, void (*)(WorldConfig&)>> exempt = {
+      {"days", [](WorldConfig& c) { c.days = 40; }},
+      {"snapshot_every_n_days",
+       [](WorldConfig& c) { c.snapshot_every_n_days = 3; }},
+      {"record_metrics", [](WorldConfig& c) { c.record_metrics = true; }},
+      {"hive.ingest_threads", [](WorldConfig& c) { c.hive.ingest_threads = 4; }},
+      {"hive.replay_cache_capacity",
+       [](WorldConfig& c) { c.hive.replay_cache_capacity = 1 << 10; }},
+  };
+  for (const auto& [knob, change] : exempt) {
+    WorldConfig other = resume_config();
+    change(other);
+    World resumer(standard_corpus(), other);
+    err.clear();
+    EXPECT_TRUE(resumer.resume_from_snapshot(dir_, &err)) << knob << ": " << err;
+  }
 }
 
 TEST_F(ResumeTest, CorpusSkewRefused) {
