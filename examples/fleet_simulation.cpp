@@ -370,10 +370,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(d.traces_delivered_total));
   }
 
-  std::printf("\nhive stats: ingested=%llu dup=%llu decode_fail=%llu "
-              "new_paths=%llu fixes=%llu repair_lab=%llu\n",
+  std::printf("\nhive stats: ingested=%llu dup=%llu stale=%llu "
+              "decode_fail=%llu new_paths=%llu fixes=%llu repair_lab=%llu\n",
               static_cast<unsigned long long>(world.hive().stats().traces_ingested),
               static_cast<unsigned long long>(world.hive().stats().duplicates_dropped),
+              static_cast<unsigned long long>(world.hive().stats().stale_dropped),
               static_cast<unsigned long long>(world.hive().stats().decode_failures),
               static_cast<unsigned long long>(world.hive().stats().new_paths),
               static_cast<unsigned long long>(world.hive().stats().fixes_approved),

@@ -7,10 +7,15 @@
 // These containers keep everything in one flat array: keys are scrambled
 // with a splitmix64 finalizer and probed linearly at <= 50% load.
 //
-// Deliberately tiny API (insert/find/reserve/size) — no erase, no iteration.
-// Anything needing richer semantics should stay on the standard containers.
+// Deliberately tiny API (insert/find/reserve/size; the set adds clear() and
+// capacity()). No erase: deleting from a linear-probe table needs tombstones or
+// back-shifting, and the one user that forgets keys (the hive's dedup
+// window) forgets a whole day at once, which clear() does while keeping the
+// table's capacity. Anything needing richer semantics should stay on the
+// standard containers.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -63,6 +68,8 @@ class FlatU64Set {
   }
 
   std::size_t size() const { return count_ + (has_zero_ ? 1 : 0); }
+  // Table slots; up to half of them fill before the table doubles.
+  std::size_t capacity() const { return slots_.size(); }
 
   // Grows the table so `expected` total keys fit without further rehashing.
   void reserve(std::size_t expected) {
@@ -70,10 +77,18 @@ class FlatU64Set {
     if (want > slots_.size()) rehash(want);
   }
 
+  // Forgets every key and keeps the table's capacity, so refilling it to
+  // the same size neither allocates nor rehashes.
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), 0);
+    count_ = 0;
+    has_zero_ = false;
+  }
+
   // Visits every key in slot order (unspecified, hash-dependent). The one
-  // sanctioned departure from "no iteration": the durable store must
-  // serialize the dedup set, and sorts the visited keys itself so the
-  // snapshot bytes never depend on table history.
+  // sanctioned iteration: the durable store serializes the dedup window,
+  // and sorts the visited keys itself so the snapshot bytes never depend
+  // on table history (capacity kept by clear(), insertion order).
   template <typename F>
   void for_each(F&& f) const {
     if (has_zero_) f(std::uint64_t{0});

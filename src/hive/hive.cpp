@@ -22,6 +22,9 @@ namespace {
 inline void record_stage_span(obs::SpanSite& site, double seconds) {
   if (obs::spans_enabled()) site.hist().record(seconds * 1e6);
 }
+
+// The dedup ring: the clock's day and the kDedupWindowDays before it.
+constexpr std::uint64_t kDedupBuckets = Hive::kDedupWindowDays + 1;
 }  // namespace
 
 Hive::Hive(const std::vector<CorpusEntry>* corpus, HiveConfig config)
@@ -72,11 +75,32 @@ void Hive::ingest(Trace t) {
   publish_metrics();
 }
 
-void Hive::ingest_impl(Trace t) {
-  if (t.id.value != 0 && !seen_trace_ids_.insert(t.id.value)) {
-    stats_.duplicates_dropped++;  // network duplicate
-    return;
+bool Hive::admit(TraceId id, std::uint64_t day) {
+  // Id 0 (warm-start regression wires, replayed every day) bypasses the
+  // window: no probe, no stale check, and it does not move the clock.
+  if (id.value == 0) return true;
+  if (day < dedup_clock_ && dedup_clock_ - day > kDedupWindowDays) {
+    stats_.stale_dropped++;  // its day's ids are gone: cannot tell a copy
+    return false;
   }
+  if (dedup_buckets_.empty()) dedup_buckets_.resize(kDedupBuckets);
+  dedup_clock_ = std::max(dedup_clock_, day);
+  // A network duplicate is a byte copy, so it carries the original's day:
+  // probing that day's bucket alone finds it.
+  DedupBucket& bucket = dedup_buckets_[day % kDedupBuckets];
+  if (bucket.day != day) {
+    bucket.ids.clear();  // a day that left the window
+    bucket.day = day;
+  }
+  if (!bucket.ids.insert(id.value)) {
+    stats_.duplicates_dropped++;  // network duplicate
+    return false;
+  }
+  return true;
+}
+
+void Hive::ingest_impl(Trace t) {
+  if (!admit(t.id, t.day)) return;
   stats_.traces_ingested++;
 
   if (gate_ != nullptr) {
@@ -310,7 +334,6 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
   };
   std::vector<Job> jobs;  // one per distinct replay key, first-seen order
   jobs.reserve(std::max<std::size_t>(64, wires.size() / 4));
-  seen_trace_ids_.reserve(seen_trace_ids_.size() + wires.size());
   // key.key -> job index, open-addressed: replay keys come out of a splitmix
   // finalizer, so their low bits index uniformly and linear probing at <= 50%
   // load beats a node-based map. Slot key 0 means empty; a genuine zero key
@@ -382,10 +405,7 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
       continue;
     }
     const TraceWireSummary& s = *summary;
-    if (s.id.value != 0 && !seen_trace_ids_.insert(s.id.value)) {
-      stats_.duplicates_dropped++;
-      continue;
-    }
+    if (!admit(s.id, s.day)) continue;
     stats_.traces_ingested++;
     if (gate_ != nullptr) {
       // The gate buffers whole traces (possibly across batches), so this
@@ -721,9 +741,38 @@ std::vector<std::uint64_t> sorted_map_keys(const Map& m) {
   return keys;
 }
 
+// Leads every hive state. An older binary's state starts with the
+// traces_ingested count instead, which never reaches this value, so its
+// layout is refused rather than misread.
+constexpr std::uint64_t kStateLayoutTag = 0x48495645'00000002ULL;  // "HIVE" 2
+
 }  // namespace
 
+std::vector<const Hive::DedupBucket*> Hive::live_dedup_buckets() const {
+  std::vector<const DedupBucket*> live;
+  for (const DedupBucket& bucket : dedup_buckets_) {
+    if (bucket.ids.size() != 0 &&
+        dedup_clock_ - bucket.day <= kDedupWindowDays) {
+      live.push_back(&bucket);
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [](const DedupBucket* a, const DedupBucket* b) {
+              return a->day < b->day;
+            });
+  return live;
+}
+
+std::vector<std::pair<std::uint64_t, std::size_t>> Hive::dedup_window() const {
+  std::vector<std::pair<std::uint64_t, std::size_t>> days;
+  for (const DedupBucket* bucket : live_dedup_buckets()) {
+    days.emplace_back(bucket->day, bucket->ids.size());
+  }
+  return days;
+}
+
 void Hive::save_state(Bytes& out) const {
+  put_varint(out, kStateLayoutTag);
   encode_fields(out, stats_);
   encode_fields(out, ingest_stats_);
   encode_fields(out, proof_stats_);
@@ -741,12 +790,20 @@ void Hive::save_state(Bytes& out) const {
     sites_.at(key).save_state(out);
   }
 
-  std::vector<std::uint64_t> seen;
-  seen.reserve(seen_trace_ids_.size());
-  seen_trace_ids_.for_each([&](std::uint64_t id) { seen.push_back(id); });
-  std::sort(seen.begin(), seen.end());
-  put_varint(out, seen.size());
-  for (const std::uint64_t id : seen) put_varint(out, id);
+  // The dedup window: its clock, then each live day's ids, sorted so the
+  // bytes never depend on table history.
+  put_varint(out, dedup_clock_);
+  const auto live = live_dedup_buckets();
+  put_varint(out, live.size());
+  std::vector<std::uint64_t> ids;
+  for (const DedupBucket* bucket : live) {
+    ids.clear();
+    bucket->ids.for_each([&](std::uint64_t id) { ids.push_back(id); });
+    std::sort(ids.begin(), ids.end());
+    put_varint(out, bucket->day);
+    put_varint(out, ids.size());
+    for (const std::uint64_t id : ids) put_varint(out, id);
+  }
 
   put_bool(out, gate_ != nullptr);
   if (gate_ != nullptr) gate_->save_state(out);
@@ -787,6 +844,10 @@ void Hive::save_state(Bytes& out) const {
 }
 
 bool Hive::load_state(StateReader& r) {
+  if (r.u64() != kStateLayoutTag) {
+    r.fail();
+    return false;
+  }
   decode_fields(r, stats_);
   decode_fields(r, ingest_stats_);
   decode_fields(r, proof_stats_);
@@ -816,15 +877,33 @@ bool Hive::load_state(StateReader& r) {
     if (!sites_[key].load_state(r)) return false;
   }
 
-  seen_trace_ids_ = FlatU64Set{};
-  const std::uint64_t n_seen = r.count();
-  seen_trace_ids_.reserve(n_seen);
-  std::uint64_t prev_id = 0;
-  for (std::uint64_t i = 0; i < n_seen && r.ok(); ++i) {
-    const std::uint64_t id = r.u64();
-    if (i > 0 && id <= prev_id) r.fail();  // sorted, unique
-    prev_id = id;
-    seen_trace_ids_.insert(id);
+  dedup_clock_ = r.u64();
+  dedup_buckets_.clear();
+  const std::uint64_t n_days = r.count(3);
+  if (n_days > kDedupBuckets) r.fail();
+  if (n_days > 0 && r.ok()) dedup_buckets_.resize(kDedupBuckets);
+  std::uint64_t prev_day = 0;
+  for (std::uint64_t i = 0; i < n_days && r.ok(); ++i) {
+    // Live days only, oldest first, each holding at least one id.
+    const std::uint64_t day = r.u64();
+    if ((i > 0 && day <= prev_day) || day > dedup_clock_ ||
+        dedup_clock_ - day > kDedupWindowDays) {
+      r.fail();
+      return false;
+    }
+    prev_day = day;
+    DedupBucket& bucket = dedup_buckets_[day % kDedupBuckets];
+    bucket.day = day;
+    const std::uint64_t n_ids = r.count();
+    if (n_ids == 0) r.fail();
+    bucket.ids.reserve(n_ids);
+    std::uint64_t prev_id = 0;
+    for (std::uint64_t k = 0; k < n_ids && r.ok(); ++k) {
+      const std::uint64_t id = r.u64();
+      if (id <= prev_id) r.fail();  // sorted, unique, never id 0
+      prev_id = id;
+      bucket.ids.insert(id);
+    }
   }
 
   const bool has_gate = r.boolean();
@@ -844,7 +923,7 @@ bool Hive::load_state(StateReader& r) {
 
   fix_attempted_bugs_.clear();
   const std::uint64_t n_attempted = r.count();
-  prev_id = 0;
+  std::uint64_t prev_id = 0;
   for (std::uint64_t i = 0; i < n_attempted && r.ok(); ++i) {
     const std::uint64_t id = r.u64();
     if (i > 0 && id <= prev_id) r.fail();

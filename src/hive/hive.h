@@ -31,6 +31,7 @@
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/fields.h"
@@ -95,6 +96,9 @@ struct HiveConfig {
 struct HiveStats {
   std::uint64_t traces_ingested = 0;
   std::uint64_t duplicates_dropped = 0;
+  // Refused by the dedup window: more than kDedupWindowDays older than the
+  // newest admitted day (DESIGN.md, "Dedup window").
+  std::uint64_t stale_dropped = 0;
   std::uint64_t decode_failures = 0;
   std::uint64_t replay_failures = 0;
   std::uint64_t patched_traces_skipped = 0;
@@ -115,6 +119,7 @@ struct HiveStats {
     return std::tuple{
         field(&S::traces_ingested, "hive.traces_ingested_total"),
         field(&S::duplicates_dropped, "hive.duplicates_dropped_total"),
+        field(&S::stale_dropped, "hive.stale_dropped_total"),
         field(&S::decode_failures, "hive.decode_failures_total"),
         field(&S::replay_failures, "hive.replay_failures_total"),
         field(&S::patched_traces_skipped, "hive.patched_traces_skipped_total"),
@@ -214,6 +219,16 @@ class Hive {
   const HiveStats& stats() const { return stats_; }
   const IngestStats& ingest_stats() const { return ingest_stats_; }
   const SiteStats& site_stats(ProgramId program);
+
+  // Dedup window (DESIGN.md, "Dedup window"): trace ids are remembered for
+  // the newest admitted day (the clock) and the kDedupWindowDays before it.
+  // Twice the 7-day quantum of AnonymizeConfig::quantize_day, so a
+  // quantized trace delivered a day late is still inside.
+  static constexpr std::uint64_t kDedupWindowDays = 14;
+  std::uint64_t dedup_clock() const { return dedup_clock_; }
+  // (day, ids held) for each day the window holds ids of, oldest first.
+  std::vector<std::pair<std::uint64_t, std::size_t>> dedup_window() const;
+
   // Published certificates. A certificate is revoked (paper §3.3: the hive
   // must "decide whether the instrumentation invalidates the hive's
   // existing knowledge and proofs") when a fix for its program ships: the
@@ -308,6 +323,9 @@ class Hive {
   // them without the run-specific state) and the replay memoization cache
   // (pure derived perf state: replay is deterministic, so it re-fills
   // identically — only IngestStats timing telemetry could notice).
+  // The dedup window goes in as its clock and its live days only, so the
+  // snapshot stays flat however long the hive runs. A state whose leading
+  // layout tag is not this build's (an older binary's) is refused.
   // load_state expects a hive constructed over the same corpus with the
   // same config; it validates every embedded record against the corpus and
   // re-baselines metric publication at the restored stats. False means the
@@ -330,6 +348,9 @@ class Hive {
 
  private:
   const CorpusEntry* entry_of(ProgramId program) const;
+  // The dedup step of both ingest paths: false (counted as a duplicate or a
+  // stale trace) when the trace must be dropped. Id 0 always passes.
+  bool admit(TraceId id, std::uint64_t day);
   void ingest_impl(Trace t);  // ingest() minus the telemetry publication
   void ingest_released(Trace t);
   // Everything before replay: dedup-independent bug tracking, lock-order
@@ -383,8 +404,21 @@ class Hive {
   std::unordered_map<std::uint64_t, ExecTree> trees_;           // by program
   std::unordered_map<std::uint64_t, LockOrderAnalyzer> locks_;  // by program
   std::unordered_map<std::uint64_t, SiteStats> sites_;          // by program
-  FlatU64Set seen_trace_ids_;
   std::unique_ptr<KAnonymityGate> gate_;  // null when k_anonymity <= 1
+
+  // The dedup window: a ring of kDedupWindowDays + 1 id tables indexed by
+  // day % size and tagged with their day. Empty until the first nonzero id,
+  // so constructing a hive allocates none of it. A bucket whose tag is not
+  // the probing day holds a day that has left the window; admit() clears
+  // it (keeping its capacity) and retags it.
+  struct DedupBucket {
+    std::uint64_t day = 0;
+    FlatU64Set ids;
+  };
+  std::vector<DedupBucket> dedup_buckets_;
+  std::uint64_t dedup_clock_ = 0;  // newest day admit() let through
+  // The buckets holding ids of live days, oldest day first.
+  std::vector<const DedupBucket*> live_dedup_buckets() const;
 
   // Replay memoization: replay_key() pairs a splitmix-chained `key` with an
   // independently seeded check hash; hits verify both. A null decisions

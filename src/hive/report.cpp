@@ -42,10 +42,11 @@ std::string hive_status_report(Hive& hive) {
   std::string out;
   out += "=== hive status ===\n";
   out += line(
-      "ingestion: %llu traces (%llu dup, %llu malformed, %llu unreplayable, "
-      "%llu gate-held), %llu paths merged (%llu new)",
+      "ingestion: %llu traces (%llu dup, %llu stale, %llu malformed, %llu "
+      "unreplayable, %llu gate-held), %llu paths merged (%llu new)",
       static_cast<unsigned long long>(s.traces_ingested),
       static_cast<unsigned long long>(s.duplicates_dropped),
+      static_cast<unsigned long long>(s.stale_dropped),
       static_cast<unsigned long long>(s.decode_failures),
       static_cast<unsigned long long>(s.replay_failures),
       static_cast<unsigned long long>(s.gated_traces),

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/flat_hash.h"
 #include "minivm/decode.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -26,6 +27,11 @@ struct PodMetrics {
     return m;
   }
 };
+
+// Separates the trace id key from every other value hashed out of a pod's
+// seed.
+constexpr std::uint64_t kTraceIdKeySalt = 0x7ace'1d00'5eed'0001ULL;
+
 }  // namespace
 
 Pod::Pod(PodId id, const CorpusEntry& entry, UserProfile profile,
@@ -34,7 +40,11 @@ Pod::Pod(PodId id, const CorpusEntry& entry, UserProfile profile,
       entry_(&entry),
       profile_(std::move(profile)),
       config_(config),
-      rng_(seed) {
+      rng_(seed),
+      // Hashed from the seed rather than drawn from rng_, so the input and
+      // schedule streams stay where they were; the pod id keeps two pods
+      // that share a seed apart.
+      trace_id_key_(mix64(mix64(seed ^ kTraceIdKeySalt) ^ id.value) | 1) {
   SB_CHECK(profile_.input_prefs.empty() ||
            profile_.input_prefs.size() == entry.domains.size());
 }
@@ -134,7 +144,11 @@ PodRun Pod::run_once(std::uint64_t day) {
     exec.trace.outcome = Outcome::kUserKilled;
   }
 
-  exec.trace.id = TraceId((id_.value << 24) | next_trace_seq_++);
+  // mix64 is a bijection with mix64(0) == 0, and multiplying by an odd key
+  // is invertible mod 2^64: a pod's ids never repeat and are 0 only for seq
+  // 0, which no run uses (id 0 means "skip dedup"). Without the key nothing
+  // in the id reads the pod back.
+  exec.trace.id = TraceId(mix64(mix64(next_trace_seq_++) * trace_id_key_));
   exec.trace.pod = id_;
   exec.trace.day = day;
   exec.trace.guided = directive.has_value();

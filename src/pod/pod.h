@@ -147,6 +147,9 @@ class Pod {
   std::deque<GuidanceDirective> guidance_;
   PodStats stats_;
   std::uint64_t next_trace_seq_ = 1;
+  // Odd key of this pod's trace ids, derived from (seed, id) at
+  // construction and never sent anywhere (DESIGN.md, "Trace ids").
+  std::uint64_t trace_id_key_;
 };
 
 }  // namespace softborg

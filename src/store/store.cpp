@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -170,7 +171,7 @@ std::optional<Snapshot> read_snapshot_impl(const std::string& dir,
                                            std::string* err) {
   Bytes current;
   if (!read_file(dir + "/CURRENT", current, 256)) {
-    set_err(err, "no CURRENT file in " + dir);
+    set_err(err, "unreadable CURRENT file in " + dir);
     return std::nullopt;
   }
   std::string current_name(current.begin(), current.end());
@@ -320,6 +321,13 @@ bool write_snapshot(const std::string& dir, std::uint64_t seq,
 std::optional<Snapshot> read_snapshot(const std::string& dir,
                                       std::string* err) {
   SB_SPAN("store.load");
+  // No CURRENT means no generation was ever committed here: the normal
+  // first start, not a snapshot to reject. An unreadable CURRENT still is.
+  struct ::stat st {};
+  if (::stat((dir + "/CURRENT").c_str(), &st) != 0 && errno == ENOENT) {
+    set_err(err, "no snapshot in " + dir);
+    return std::nullopt;
+  }
   std::string local_err;
   auto snap = read_snapshot_impl(dir, &local_err);
   if (!snap) {

@@ -19,10 +19,12 @@
 //
 // Validation policy (read_snapshot): every magic, version, length, and
 // checksum is verified before a byte of payload is handed to a component
-// decoder. Any mismatch — torn file, bit rot, truncation, a manifest from a
-// future format version — yields std::nullopt (plus a
-// store.validation_rejects_total tick) so the caller degrades to a clean
-// cold start. Corruption is never UB and never a partial load.
+// decoder. Any mismatch — torn file, bit rot, truncation, an unreadable or
+// malformed CURRENT, a manifest from a future format version — yields
+// std::nullopt (plus a store.validation_rejects_total tick and a WARN) so
+// the caller degrades to a clean cold start. Corruption is never UB and
+// never a partial load. A directory with no CURRENT at all (a first start)
+// is simply empty: nullopt, with no tick and no warning.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +59,8 @@ bool write_snapshot(const std::string& dir, std::uint64_t seq,
                     const std::vector<Part>& parts, std::string* err = nullptr);
 
 // Loads the generation named by CURRENT, validating everything. nullopt when
-// the directory has no snapshot or the snapshot fails any validation check;
-// *err (when non-null) describes the first failure.
+// the directory has no snapshot (no CURRENT: not counted as a reject) or the
+// snapshot fails any validation check; *err (when non-null) describes why.
 std::optional<Snapshot> read_snapshot(const std::string& dir,
                                       std::string* err = nullptr);
 

@@ -530,6 +530,26 @@ TEST(FlatU64Set, ReserveDoesNotDisturbContents) {
   for (std::uint64_t v = 1; v <= 100; ++v) EXPECT_TRUE(set.contains(v));
 }
 
+TEST(FlatU64Set, ClearForgetsEveryKeyAndKeepsCapacity) {
+  FlatU64Set set;
+  set.insert(0);
+  for (std::uint64_t v = 1; v <= 3000; ++v) set.insert(v * 0x9e3779b97f4a7c15ULL);
+  const std::size_t capacity = set.capacity();
+  ASSERT_GE(capacity, 6000u);
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.capacity(), capacity);
+  EXPECT_FALSE(set.contains(0));
+  for (std::uint64_t v = 1; v <= 3000; ++v) {
+    EXPECT_FALSE(set.contains(v * 0x9e3779b97f4a7c15ULL)) << "v " << v;
+  }
+  // Refilled to the same size, the table reuses its slots: no growth.
+  for (std::uint64_t v = 1; v <= 3000; ++v) EXPECT_TRUE(set.insert(v + 7));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_EQ(set.size(), 3001u);
+  EXPECT_EQ(set.capacity(), capacity);
+}
+
 TEST(FlatU64PtrMap, InsertKeepsFirstMapping) {
   int a = 1, b = 2;
   FlatU64PtrMap<int> map;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/state_wire.h"
 #include "hive/bugs.h"
 #include "hive/coop.h"
 #include "hive/fixer.h"
@@ -552,6 +553,102 @@ TEST_F(HiveTest, DuplicateTraceIdsDropped) {
   hive_.ingest(t);
   EXPECT_EQ(hive_.stats().traces_ingested, 1u);
   EXPECT_EQ(hive_.stats().duplicates_dropped, 1u);
+}
+
+// --- dedup window ---------------------------------------------------------
+
+Trace on_day(Trace t, std::uint64_t id, std::uint64_t day) {
+  t.id = TraceId(id);
+  t.day = day;
+  return t;
+}
+
+TEST_F(HiveTest, DuplicateOnItsOwnDayIsDropped) {
+  const auto& parser = entry("media_parser");
+  const Trace t = on_day(failing_trace(parser, {20, 10}, 7), 7, 30);
+  hive_.ingest(t);
+  hive_.ingest(on_day(failing_trace(parser, {21, 10}, 8), 8, 31));
+  hive_.ingest(t);  // a network copy: same bytes, so the same day
+  EXPECT_EQ(hive_.stats().traces_ingested, 2u);
+  EXPECT_EQ(hive_.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(hive_.stats().stale_dropped, 0u);
+  EXPECT_EQ(hive_.dedup_clock(), 31u);
+  const std::vector<std::pair<std::uint64_t, std::size_t>> window = {{30, 1},
+                                                                     {31, 1}};
+  EXPECT_EQ(hive_.dedup_window(), window);
+}
+
+TEST_F(HiveTest, CopyOlderThanTheWindowIsStale) {
+  const auto& parser = entry("media_parser");
+  const Trace crash = on_day(failing_trace(parser, {13, 250}, 3), 3, 10);
+  ASSERT_NE(crash.outcome, Outcome::kOk);
+  hive_.ingest(crash);
+  ASSERT_EQ(hive_.bug_tracker().all().size(), 1u);
+  // Newest day d+14: day d is still in the window, so a copy is a duplicate.
+  hive_.ingest(on_day(failing_trace(parser, {20, 10}, 4), 4, 24));
+  hive_.ingest(crash);
+  EXPECT_EQ(hive_.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(hive_.stats().stale_dropped, 0u);
+  // Newest day d+15: day d's ids are gone, so the copy is refused as stale.
+  hive_.ingest(on_day(failing_trace(parser, {21, 10}, 5), 5, 25));
+  const HiveStats before = hive_.stats();
+  const std::uint64_t occurrences = hive_.bug_tracker().all()[0].occurrences;
+  hive_.ingest(crash);
+  EXPECT_EQ(hive_.stats().stale_dropped, before.stale_dropped + 1);
+  EXPECT_EQ(hive_.stats().duplicates_dropped, before.duplicates_dropped);
+  EXPECT_EQ(hive_.stats().traces_ingested, before.traces_ingested);
+  EXPECT_EQ(hive_.stats().paths_merged, before.paths_merged);
+  EXPECT_EQ(hive_.bug_tracker().all().size(), 1u);
+  EXPECT_EQ(hive_.bug_tracker().all()[0].occurrences, occurrences);
+  // A never-seen trace of that day is refused the same way, bug and all.
+  hive_.ingest(on_day(failing_trace(parser, {13, 251}, 6), 6, 10));
+  EXPECT_EQ(hive_.stats().stale_dropped, before.stale_dropped + 2);
+  EXPECT_EQ(hive_.bug_tracker().all()[0].occurrences, occurrences);
+  EXPECT_EQ(hive_.dedup_clock(), 25u);
+  EXPECT_EQ(hive_.dedup_window().front().first, 24u);
+}
+
+TEST_F(HiveTest, IdZeroBypassesTheWindow) {
+  const auto& parser = entry("media_parser");
+  hive_.ingest(on_day(failing_trace(parser, {20, 10}, 9), 9, 100));
+  // Warm-start regression wires carry id 0 and day 0, replayed every day.
+  const Trace regression = on_day(failing_trace(parser, {13, 250}, 3), 0, 0);
+  hive_.ingest(regression);
+  hive_.ingest(regression);
+  EXPECT_EQ(hive_.stats().traces_ingested, 3u);
+  EXPECT_EQ(hive_.stats().duplicates_dropped, 0u);
+  EXPECT_EQ(hive_.stats().stale_dropped, 0u);
+  EXPECT_EQ(hive_.dedup_clock(), 100u);
+  const std::vector<std::pair<std::uint64_t, std::size_t>> window = {{100, 1}};
+  EXPECT_EQ(hive_.dedup_window(), window);
+}
+
+TEST_F(HiveTest, WindowAndSnapshotDropDaysTheClockPassed) {
+  // Days 1-3, then a jump to day 30: buckets 1-3 still hold their ids but
+  // left the window, so neither the window nor a snapshot keeps them.
+  const auto& parser = entry("media_parser");
+  std::vector<Trace> traces;
+  for (std::uint64_t day : {1, 2, 3, 30}) {
+    traces.push_back(on_day(
+        failing_trace(parser, {20, static_cast<Value>(day)}, day), day, day));
+    hive_.ingest(traces.back());
+  }
+  const std::vector<std::pair<std::uint64_t, std::size_t>> window = {{30, 1}};
+  EXPECT_EQ(hive_.dedup_window(), window);
+
+  Bytes state;
+  hive_.save_state(state);
+  Hive restored(&corpus_);
+  StateReader r(state);
+  ASSERT_TRUE(restored.load_state(r));
+  ASSERT_TRUE(r.done());
+  EXPECT_EQ(restored.dedup_clock(), 30u);
+  EXPECT_EQ(restored.dedup_window(), window);
+  restored.ingest(traces[3]);  // still remembered
+  restored.ingest(traces[1]);  // too old to tell from a copy
+  EXPECT_EQ(restored.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(restored.stats().stale_dropped, 1u);
+  EXPECT_EQ(restored.stats().traces_ingested, 4u);
 }
 
 TEST_F(HiveTest, CrashProducesApprovedFix) {

@@ -184,6 +184,81 @@ TEST(IngestBatch, CounterSnapshotsByteIdenticalAcrossIngestThreads) {
   EXPECT_EQ(counter_texts[0], counter_texts[2]);
 }
 
+// Forty days of traffic, one batch per day: each day's fresh traces plus
+// network copies of fresh traces 0 to 20 days old, shuffled in. Copies up
+// to kDedupWindowDays old are duplicates; from 16 days on they are stale
+// whatever the order within the day (the clock is at least the day before).
+struct WindowedDays {
+  std::vector<std::vector<Bytes>> batches;
+  std::uint64_t in_window_copies = 0;  // age <= kDedupWindowDays
+  std::uint64_t stale_copies = 0;      // age > kDedupWindowDays + 1
+  std::uint64_t copies = 0;
+};
+
+WindowedDays make_windowed_days(const std::vector<CorpusEntry>& corpus) {
+  Rng rng(41);
+  WindowedDays out;
+  std::vector<std::vector<Bytes>> fresh;  // by day - 1
+  std::uint64_t next_id = 1;
+  for (std::uint64_t day = 1; day <= 40; ++day) {
+    fresh.emplace_back();
+    for (int i = 0; i < 25; ++i) {
+      const CorpusEntry& entry = corpus[rng.next_below(corpus.size())];
+      ExecConfig cfg;
+      for (const auto& d : entry.domains) {
+        cfg.inputs.push_back(rng.next_in(d.lo, d.hi));
+      }
+      cfg.seed = next_id;
+      auto result = execute(entry.program, cfg);
+      result.trace.id = TraceId(next_id++);
+      result.trace.day = day;
+      fresh.back().push_back(encode_trace(result.trace));
+    }
+    std::vector<Bytes> batch = fresh.back();
+    for (int i = 0; i < 6; ++i) {
+      const std::uint64_t age = rng.next_below(21);
+      if (age >= day) continue;
+      const std::vector<Bytes>& from = fresh[day - 1 - age];
+      batch.push_back(from[rng.next_below(from.size())]);
+      out.copies++;
+      if (age <= Hive::kDedupWindowDays) out.in_window_copies++;
+      if (age > Hive::kDedupWindowDays + 1) out.stale_copies++;
+    }
+    std::shuffle(batch.begin(), batch.end(), rng);
+    out.batches.push_back(std::move(batch));
+  }
+  return out;
+}
+
+TEST(IngestBatch, DedupWindowMatchesSerialAcrossFortyDays) {
+  const auto corpus = standard_corpus();
+  const WindowedDays days = make_windowed_days(corpus);
+  ASSERT_GT(days.in_window_copies, 0u);
+  ASSERT_GT(days.stale_copies, 0u);
+
+  Hive serial(&corpus);
+  for (const auto& batch : days.batches) {
+    for (const auto& w : batch) serial.ingest_bytes(w);
+  }
+  const HiveStats& s = serial.stats();
+  EXPECT_EQ(s.duplicates_dropped + s.stale_dropped, days.copies);
+  EXPECT_GE(s.duplicates_dropped, days.in_window_copies);
+  EXPECT_GE(s.stale_dropped, days.stale_copies);
+  EXPECT_EQ(serial.dedup_clock(), 40u);
+  EXPECT_EQ(serial.dedup_window().size(), Hive::kDedupWindowDays + 1);
+  EXPECT_EQ(serial.dedup_window().front().first, 40 - Hive::kDedupWindowDays);
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    HiveConfig cfg;
+    cfg.ingest_threads = threads;
+    Hive batched(&corpus, cfg);
+    for (const auto& batch : days.batches) batched.ingest_batch(batch);
+    expect_identical(serial, batched, corpus);
+    EXPECT_EQ(batched.dedup_window(), serial.dedup_window());
+  }
+}
+
 TEST(IngestBatch, EmptyBatchIsANoOp) {
   const auto corpus = standard_corpus();
   HiveConfig cfg;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "hive/hive.h"
 #include "minivm/corpus.h"
 #include "minivm/decode.h"
 #include "pod/pod.h"
@@ -112,6 +115,51 @@ TEST(Pod, TraceIdsAreUnique) {
   std::set<std::uint64_t> ids;
   for (int i = 0; i < 50; ++i) ids.insert(pod.run_once(1).trace.id.value);
   EXPECT_EQ(ids.size(), 50u);
+}
+
+TEST(Pod, TraceIdsDoNotReadThePodBack) {
+  // With pod identity scrubbed (E8's scrub-ids rung), the id must not carry
+  // it either, as (pod << 24) | seq would: id >> 24 reads the pod back.
+  const auto entry = make_media_parser();
+  PodConfig config;
+  config.anonymize = AnonymizeConfig{};
+  for (std::uint64_t p = 1; p <= 64; ++p) {
+    Pod pod(PodId(p), entry, UserProfile{}, config, 100 + p);
+    for (int i = 0; i < 4; ++i) {
+      const PodRun run = pod.run_once(1);
+      EXPECT_EQ(run.trace.pod.value, 0u);
+      EXPECT_NE(run.trace.id.value, 0u);
+      EXPECT_NE(run.trace.id.value >> 24, p) << "pod " << p << " run " << i;
+    }
+  }
+}
+
+TEST(Pod, TraceIdsDoNotAliasPastTwoToThe24Runs) {
+  const std::vector<CorpusEntry> corpus = {make_media_parser()};
+  Pod pod(PodId(1), corpus[0], UserProfile{}, PodConfig{}, 5);
+  Hive hive(&corpus);
+  const PodRun first = pod.run_once(1);
+  hive.ingest(first.trace);
+  // Move the saved sequence counter (the state's last varint: 2 after one
+  // run) to 2^24, the run count where a 24-bit sequence field overflows.
+  Bytes state;
+  pod.save_state(state);
+  ASSERT_EQ(state.back(), 2u);
+  state.pop_back();
+  put_varint(state, std::uint64_t{1} << 24);
+  StateReader r(state);
+  ASSERT_TRUE(pod.load_state(r));
+  ASSERT_TRUE(r.done());
+  // Run 2^24 + 1 must not repeat run 1's id, as a 24-bit sequence field
+  // under the pod bits would (and the hive would drop it as a duplicate).
+  std::set<std::uint64_t> ids = {first.trace.id.value};
+  for (int i = 0; i < 2; ++i) {
+    const PodRun run = pod.run_once(2);
+    EXPECT_TRUE(ids.insert(run.trace.id.value).second) << "run " << i;
+    hive.ingest(run.trace);
+  }
+  EXPECT_EQ(hive.stats().traces_ingested, 3u);
+  EXPECT_EQ(hive.stats().duplicates_dropped, 0u);
 }
 
 TEST(Pod, InputsRespectUserPreferences) {

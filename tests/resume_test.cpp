@@ -118,6 +118,92 @@ TEST_F(ResumeTest, KillOnLastDay) {
   run_kill_and_resume(dir_, resume_config().days);
 }
 
+// Forty days: long enough for the dedup window to recycle its buckets
+// (DESIGN.md, "Dedup window"), with network copies for it to catch.
+WorldConfig window_config() {
+  WorldConfig config;
+  config.pods_per_program = 4;
+  config.days = 40;
+  config.mean_runs_per_day = 3.0;
+  config.seed = 23;
+  config.net.drop_prob = 0.02;
+  config.net.dup_prob = 0.05;
+  return config;
+}
+
+TEST_F(ResumeTest, SnapshotHoldsOnlyTheDedupWindow) {
+  World world(standard_corpus(), window_config());
+  for (std::uint64_t d = 0; d < 40; ++d) world.step_day();
+  ASSERT_GT(world.hive().stats().duplicates_dropped, 0u);
+  ASSERT_TRUE(world.save_snapshot(dir_));
+
+  World resumed(standard_corpus(), window_config());
+  std::string err;
+  ASSERT_TRUE(resumed.resume_from_snapshot(dir_, &err)) << err;
+  const Hive& hive = resumed.hive();
+  EXPECT_EQ(hive.dedup_clock(), 40u);
+  const auto window = hive.dedup_window();
+  EXPECT_EQ(window, world.hive().dedup_window());
+  // At most 15 days of ids: the clock's day and the 14 before it. Every id
+  // since day 1 would be all 40 days' worth.
+  ASSERT_FALSE(window.empty());
+  EXPECT_LE(window.size(), Hive::kDedupWindowDays + 1);
+  EXPECT_GE(window.front().first, 40 - Hive::kDedupWindowDays);
+  std::uint64_t held = 0;
+  for (const auto& [day, ids] : window) held += ids;
+  EXPECT_LT(held, hive.stats().traces_ingested / 2);
+}
+
+TEST_F(ResumeTest, KillMidWindowResumesIdentically) {
+  // Snapshot on day 20, when the window holds days 6..20 and has already
+  // recycled five buckets; the resumed run recycles the rest.
+  const WorldConfig config = window_config();
+  World cold(standard_corpus(), config);
+  for (std::uint64_t d = 0; d < config.days; ++d) cold.step_day();
+  {
+    World doomed(standard_corpus(), config);
+    for (std::uint64_t d = 0; d < 20; ++d) doomed.step_day();
+    ASSERT_EQ(doomed.hive().dedup_window().front().first,
+              20 - Hive::kDedupWindowDays);
+    ASSERT_TRUE(doomed.save_snapshot(dir_));
+  }
+  World resumed(standard_corpus(), config);
+  std::string err;
+  ASSERT_TRUE(resumed.resume_from_snapshot(dir_, &err)) << err;
+  while (resumed.day() < config.days) resumed.step_day();
+  expect_worlds_equal(cold, resumed);
+  EXPECT_GT(cold.hive().stats().duplicates_dropped, 0u);
+  EXPECT_EQ(cold.hive().dedup_clock(), resumed.hive().dedup_clock());
+  EXPECT_EQ(cold.hive().dedup_window(), resumed.hive().dedup_window());
+}
+
+TEST_F(ResumeTest, OlderHiveLayoutColdStarts) {
+  World saver(standard_corpus(), resume_config());
+  saver.step_day();
+  ASSERT_TRUE(saver.save_snapshot(dir_));
+  const auto good = store::read_snapshot(dir_);
+  ASSERT_TRUE(good.has_value());
+
+  // Older binaries wrote the hive part without the leading layout tag (and
+  // with every trace id ever seen): it must be refused, not misread.
+  std::vector<store::Part> parts;
+  for (const auto& [name, payload] : good->parts) {
+    Bytes p = payload;
+    if (name == "hive") {
+      std::size_t tag_len = 0;
+      while (p[tag_len] & 0x80) tag_len++;
+      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(tag_len + 1));
+    }
+    parts.push_back({name, std::move(p)});
+  }
+  fs::remove_all(dir_);
+  ASSERT_TRUE(store::write_snapshot(dir_, good->seq, parts));
+  World victim(standard_corpus(), resume_config());
+  std::string err;
+  EXPECT_FALSE(victim.resume_from_snapshot(dir_, &err));
+  EXPECT_EQ(err, "hive part malformed");
+}
+
 TEST_F(ResumeTest, PeriodicSnapshotsResumeFromNewest) {
   WorldConfig config = resume_config();
   config.snapshot_dir = dir_;

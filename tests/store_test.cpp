@@ -14,6 +14,7 @@
 #include "common/fsio.h"
 #include "common/state_wire.h"
 #include "core/softborg.h"
+#include "obs/registry.h"
 #include "privacy/anonymize.h"
 #include "store/store.h"
 #include "sym/solver_cache.h"
@@ -122,6 +123,31 @@ TEST_F(StoreTest, ReadEmptyOrMissingDirectory) {
   EXPECT_FALSE(store::read_snapshot(dir_, &err).has_value());
   fs::create_directories(dir_);
   EXPECT_FALSE(store::read_snapshot(dir_, &err).has_value());
+}
+
+std::uint64_t validation_rejects() {
+  return obs::MetricsRegistry::global()
+      .counter("store.validation_rejects_total")
+      .value();
+}
+
+TEST_F(StoreTest, FirstStartIsNotARejectedSnapshot) {
+  // No CURRENT is the normal first start: nothing to load, nothing rejected.
+  const std::uint64_t before = validation_rejects();
+  std::string err;
+  EXPECT_FALSE(store::read_snapshot(dir_, &err).has_value());
+  fs::create_directories(dir_);
+  EXPECT_FALSE(store::read_snapshot(dir_, &err).has_value());
+  EXPECT_NE(err.find("no snapshot"), std::string::npos) << err;
+  EXPECT_EQ(validation_rejects(), before);
+
+  // A CURRENT that names no generation is still a rejected snapshot.
+  const Bytes garbage = bytes_of("not-a-generation\n");
+  ASSERT_TRUE(
+      atomic_write_file(dir_ + "/CURRENT", garbage.data(), garbage.size()));
+  EXPECT_FALSE(store::read_snapshot(dir_, &err).has_value());
+  EXPECT_EQ(err, "CURRENT is malformed");
+  EXPECT_EQ(validation_rejects(), before + 1);
 }
 
 TEST_F(StoreTest, NewerGenerationWinsAndOldOnesArePruned) {

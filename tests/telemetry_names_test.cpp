@@ -37,6 +37,7 @@ Expected hive_counters(const HiveStats& s, const IngestStats& i) {
   return {
       {"hive.traces_ingested_total", s.traces_ingested},
       {"hive.duplicates_dropped_total", s.duplicates_dropped},
+      {"hive.stale_dropped_total", s.stale_dropped},
       {"hive.decode_failures_total", s.decode_failures},
       {"hive.replay_failures_total", s.replay_failures},
       {"hive.patched_traces_skipped_total", s.patched_traces_skipped},
@@ -251,6 +252,7 @@ TEST(TelemetryNames, PublishedCountersAreNamedAndCountTheirStats) {
       "hive.replay.cache_hits_total",
       "hive.replay.cache_misses_total",
       "hive.replay_failures_total",
+      "hive.stale_dropped_total",
       "hive.traces_ingested_total",
       "hive.tree.new_paths_total",
       "hive.tree.paths_merged_total",
