@@ -1,23 +1,14 @@
-// BM_ProofClosure — solver-result recycling in proof gap closure on the
-// 64x64 fleet workload (paper §3.3: cumulative proofs; §2: the hive
-// recycles the fleet's redundant work instead of re-deriving it).
+// BM_ProofClosure — proof gap closure on the 64x64 fleet workload (paper
+// §3.3: cumulative proofs).
 //
 // Each iteration stands up a fresh hive, batch-ingests a day of fleet
 // traffic (64 endpoints x 64 runs — the same workload as part 3 of
 // bench_e6_recording_overhead), and then attempts a cumulative proof for
 // every corpus program (Hive::attempt_proofs_all). Only the proof sweep is
-// timed; ingestion is setup. Legs, encoded as Arg(cache_mode):
+// timed; ingestion is setup. Every feasibility query runs the solver.
 //
-//   0 — no cache: every feasibility query runs the solver.
-//   1 — cold cache: recycling within and across the sweep's attempts,
-//       starting empty.
-//   2 — warm cache: the hive is seeded (merge_from) with the cache a
-//       previous identical sweep accumulated — the steady state of a
-//       long-lived hive re-proving its fleet. The warm/cold wall-clock
-//       ratio is the recycling payoff.
-//
-// Counters report solver_calls, the recycled fraction, and proofs issued;
-// methodology and measured numbers live in EXPERIMENTS.md ("BM_ProofClosure").
+// Counters report solver_calls and proofs issued; methodology and measured
+// numbers live in EXPERIMENTS.md ("BM_ProofClosure").
 #include <benchmark/benchmark.h>
 
 #include "bench_json_gbench.h"
@@ -32,9 +23,8 @@ constexpr Property kProperty = Property::kNeverCrashes;
 // input box. Each guard's boundary (x-a)(y-c)(x-a2) < bound is a cubic
 // surface, so the interval solver has to split the box down to the boundary
 // to decide a frontier — feasibility queries cost thousands of
-// branch-and-prune nodes, the regime where re-deriving answers dwarfs
-// recycling them. Constants vary per variant so distinct programs share no
-// queries.
+// branch-and-prune nodes. Constants vary per variant so distinct programs
+// share no queries.
 CorpusEntry make_constraint_gauntlet(unsigned variant) {
   ProgramBuilder b("gauntlet_" + std::to_string(variant), 9000 + variant);
   const Reg x = b.reg(), y = b.reg(), t = b.reg(), u = b.reg();
@@ -113,37 +103,14 @@ const std::vector<Bytes>& fleet_workload() {
   return wires;
 }
 
-HiveConfig closure_config(int cache_mode) {
-  HiveConfig config;
-  config.solver_cache = cache_mode != 0;
-  return config;
-}
-
-// The donor for the warm legs: the solver cache left behind by one complete
-// cold-cache sweep over identically-ingested trees.
-const SolverCache& donor_cache() {
-  static const SolverCache cache = [] {
-    Hive hive(&bench_corpus(), closure_config(1));
-    hive.ingest_batch(fleet_workload());
-    hive.attempt_proofs_all(kProperty);
-    return hive.solver_cache();
-  }();
-  return cache;
-}
-
 void BM_ProofClosure(benchmark::State& state) {
   const std::vector<CorpusEntry>& corpus = bench_corpus();
-  const int cache_mode = static_cast<int>(state.range(0));
-  if (cache_mode == 2) donor_cache();  // build outside the timed region
-
   std::size_t proofs = 0;
   std::uint64_t solver_calls = 0;
-  std::uint64_t recycled = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Hive hive(&corpus, closure_config(cache_mode));
+    Hive hive(&corpus);
     hive.ingest_batch(fleet_workload());
-    if (cache_mode == 2) hive.solver_cache().merge_from(donor_cache());
     state.ResumeTiming();
 
     const auto certs = hive.attempt_proofs_all(kProperty);
@@ -152,23 +119,12 @@ void BM_ProofClosure(benchmark::State& state) {
     benchmark::DoNotOptimize(certs.size());
     proofs = hive.valid_proof_count();
     solver_calls = hive.proof_stats().solver_calls;
-    recycled = hive.proof_stats().recycled();
     state.ResumeTiming();
   }
   state.counters["proofs"] = static_cast<double>(proofs);
   state.counters["solver_calls"] = static_cast<double>(solver_calls);
-  state.counters["recycled"] = static_cast<double>(recycled);
-  state.counters["recycle_rate"] =
-      solver_calls == 0
-          ? 0.0
-          : static_cast<double>(recycled) / static_cast<double>(solver_calls);
 }
-BENCHMARK(BM_ProofClosure)
-    ->Arg(0)  // no cache — the pre-recycling baseline
-    ->Arg(1)  // cold cache
-    ->Arg(2)  // warm cache — steady-state recycling
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_ProofClosure)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace softborg

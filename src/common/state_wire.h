@@ -1,6 +1,6 @@
 // Bounds-checked codec for durable component state (src/store snapshots).
 //
-// Every mutable component (Rng consumers, SimNet, Pod, Hive, SolverCache)
+// Every mutable component (Rng consumers, SimNet, Pod, Hive, YieldLedger)
 // serializes itself with these helpers so the snapshot loader has one
 // hardened decoding discipline: a StateReader never reads past the buffer,
 // never allocates more than the buffer could possibly describe, and latches

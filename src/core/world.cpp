@@ -307,7 +307,6 @@ void World::run_daily_coop(DayMetrics& metrics) {
     // Per-(day, program) seed so repeated runs of one program differ but the
     // whole schedule stays a pure function of (config, day).
     cc.seed = config_.coop.seed ^ (day_ << 20) ^ entry.program.id.value;
-    if (config_.hive.solver_cache) cc.solver_cache = &hive_->solver_cache();
     // The ledger seeds portfolio equities with cross-run priors only on the
     // adaptive path; the static path keeps the historical cold start.
     cc.yield = config_.adapt.static_plan ? nullptr : &ledger_;
@@ -399,7 +398,6 @@ void World::step_day() {
   metrics.net_dropped_total = net_.stats().dropped;
   metrics.proofs_valid_total = hive_->valid_proof_count();
   metrics.proof_solver_calls_total = hive_->proof_stats().solver_calls;
-  metrics.proof_solver_recycled_total = hive_->proof_stats().recycled();
   // Feed the yield ledger at this serial barrier, in both planning modes
   // (static runs keep warm estimates for a later flip to adaptive). Inputs
   // are the deterministic stats structs and tree aggregates — never the
@@ -412,7 +410,7 @@ void World::step_day() {
                             tree != nullptr ? tree->open_frontiers() : 0,
                             hive_->has_valid_proof(entry.program.id));
   }
-  ledger_.observe_hive(hive_->ingest_stats(), hive_->proof_stats());
+  ledger_.observe_hive(hive_->ingest_stats());
   history_.push_back(metrics);
   if (config_.record_metrics) {
     metrics_history_.push_back(
@@ -509,11 +507,6 @@ bool World::save_snapshot(const std::string& dir, std::string* err) const {
     parts.push_back({"trees", std::move(t)});
   }
   {
-    Bytes s;
-    hive_->solver_cache().save_state(s);
-    parts.push_back({"solver", std::move(s)});
-  }
-  {
     // The regression set is re-derived (not mutable state) but persisted as
     // its own part so load_regression_inputs() can warm-start a fresh fleet
     // without decoding the full hive ledger.
@@ -542,8 +535,8 @@ bool World::resume_from_snapshot(const std::string& dir, std::string* err) {
     const auto it = snapshot->parts.find(name);
     return it == snapshot->parts.end() ? nullptr : &it->second;
   };
-  for (const char* name : {"meta", "world", "pods", "net", "hive", "trees",
-                           "solver", "adapt"}) {
+  for (const char* name :
+       {"meta", "world", "pods", "net", "hive", "trees", "adapt"}) {
     if (part(name) == nullptr) return set_err("snapshot missing a part");
   }
 
@@ -615,12 +608,6 @@ bool World::resume_from_snapshot(const std::string& dir, std::string* err) {
     StateReader r(*part("trees"));
     if (!hive_->load_trees(r) || !r.done()) {
       return set_err("trees part malformed");
-    }
-  }
-  {
-    StateReader r(*part("solver"));
-    if (!hive_->solver_cache().load_state(r) || !r.done()) {
-      return set_err("solver part malformed");
     }
   }
   {

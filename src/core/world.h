@@ -49,8 +49,7 @@ struct WorldConfig {
   std::size_t guidance_per_program_per_day = 0;
   // Proof gap closure: each day the hive attempts cumulative proofs for this
   // many programs (a rotating corpus slice, so the whole fleet is swept every
-  // ceil(corpus / n) days); 0 disables. Attempts recycle solver results
-  // when HiveConfig::solver_cache is on.
+  // ceil(corpus / n) days); 0 disables.
   std::size_t proof_programs_per_day = 0;
   Property proof_property = Property::kNeverCrashes;
   // Adaptive control plane (hive/adapt.h). With the default
@@ -137,13 +136,9 @@ struct DayMetrics {
   std::uint64_t net_dropped_in_flight_total = 0;
   std::uint64_t net_dropped_total = 0;
   // Proof gap closure (when WorldConfig::proof_programs_per_day > 0):
-  // cumulative totals from the hive's closure telemetry. The solver counters
-  // split recycled results (cache hits + subsumptions + reused models) from
-  // fresh solver work, so the day series shows recycling compound as the
-  // fleet's knowledge accumulates.
+  // cumulative totals from the hive's closure telemetry.
   std::size_t proofs_valid_total = 0;
   std::uint64_t proof_solver_calls_total = 0;
-  std::uint64_t proof_solver_recycled_total = 0;
   // Cooperative exploration (when WorldConfig::coop_programs_per_day > 0):
   // the day's run outcomes, including the efficiency signals that were
   // previously invisible to the obs layer (idle worker-ticks and work lost
@@ -168,10 +163,9 @@ struct DayMetrics {
         field(&M::net_blocked_at_send_total),
         field(&M::net_dropped_in_flight_total), field(&M::net_dropped_total),
         field(&M::proofs_valid_total), field(&M::proof_solver_calls_total),
-        field(&M::proof_solver_recycled_total), field(&M::coop_runs),
-        field(&M::coop_ticks), field(&M::coop_useful_steps),
-        field(&M::coop_wasted_steps), field(&M::coop_idle_ticks),
-        field(&M::coop_runs_by_strategy)};
+        field(&M::coop_runs), field(&M::coop_ticks),
+        field(&M::coop_useful_steps), field(&M::coop_wasted_steps),
+        field(&M::coop_idle_ticks), field(&M::coop_runs_by_strategy)};
   }
 };
 
@@ -202,7 +196,7 @@ class World {
 
   // --- durable store ----------------------------------------------------------
   // Writes a snapshot generation (seq = current day) of the entire mutable
-  // world state — hive ledgers, trees, solver cache, every pod, the network,
+  // world state — hive ledgers, trees, every pod, the network,
   // day metrics, all rng streams — under `dir`, crash-safely (src/store).
   // False on I/O failure; the previous generation stays loadable.
   bool save_snapshot(const std::string& dir, std::string* err = nullptr) const;

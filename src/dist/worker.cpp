@@ -50,7 +50,7 @@ bool ShardWorker::try_resume() {
     const auto it = snapshot->parts.find(name);
     return it == snapshot->parts.end() ? nullptr : &it->second;
   };
-  for (const char* name : {"hive", "trees", "solver", "worker"}) {
+  for (const char* name : {"hive", "trees", "worker"}) {
     if (part(name) == nullptr) return false;
   }
   // A snapshot of another shard, or one taken under another hive config or
@@ -79,10 +79,6 @@ bool ShardWorker::try_resume() {
   {
     StateReader r(*part("trees"));
     if (!hive_->load_trees(r) || !r.done()) return reject();
-  }
-  {
-    StateReader r(*part("solver"));
-    if (!hive_->solver_cache().load_state(r) || !r.done()) return reject();
   }
   ingested_ = ingested;
   batches_ = batches;
@@ -164,11 +160,6 @@ bool ShardWorker::write_snapshot() {
     Bytes t;
     hive_->save_trees(t);
     parts.push_back({"trees", std::move(t)});
-  }
-  {
-    Bytes s;
-    hive_->solver_cache().save_state(s);
-    parts.push_back({"solver", std::move(s)});
   }
   {
     Bytes w;

@@ -13,7 +13,7 @@
 //   never leaks).
 //
 // Durability rides on the PR-8 snapshot store: the worker snapshots its
-// hive (state + trees + solver cache + worker ledger) on request
+// hive (state + trees + worker ledger) on request
 // (kMsgSnapshot), periodically (snapshot_every_batches), and at shutdown;
 // a restarted worker warm-starts from the newest good generation and
 // re-announces itself to the router with resumed=true.

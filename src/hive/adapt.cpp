@@ -61,8 +61,7 @@ const YieldLedger::EquityEstimate* YieldLedger::equity(
   return it == equities_.end() ? nullptr : &it->second;
 }
 
-void YieldLedger::observe_hive(const IngestStats& ingest,
-                               const Hive::ProofClosureStats& proof) {
+void YieldLedger::observe_hive(const IngestStats& ingest) {
   const std::uint64_t hits = ingest.replay_cache_hits - replay_hits_base_;
   const std::uint64_t misses =
       ingest.replay_cache_misses - replay_misses_base_;
@@ -72,15 +71,6 @@ void YieldLedger::observe_hive(const IngestStats& ingest,
   }
   replay_hits_base_ = ingest.replay_cache_hits;
   replay_misses_base_ = ingest.replay_cache_misses;
-
-  const std::uint64_t calls = proof.solver_calls - solver_calls_base_;
-  const std::uint64_t recycled = proof.recycled() - solver_recycled_base_;
-  if (calls > 0) {
-    ewma(solver_recycle_rate_,
-         static_cast<double>(recycled) / static_cast<double>(calls));
-  }
-  solver_calls_base_ = proof.solver_calls;
-  solver_recycled_base_ = proof.recycled();
 }
 
 void YieldLedger::ingest_metrics_delta(const obs::MetricsSnapshot& delta) {
@@ -93,14 +83,6 @@ void YieldLedger::ingest_metrics_delta(const obs::MetricsSnapshot& delta) {
   if (hits + misses > 0) {
     ewma(replay_recycle_rate_,
          static_cast<double>(hits) / static_cast<double>(hits + misses));
-  }
-  const std::uint64_t calls = value("solver.calls_total");
-  const std::uint64_t recycled = value("solver.exact_hits_total") +
-                                 value("solver.unsat_subsumed_total") +
-                                 value("solver.models_reused_total");
-  if (calls > 0) {
-    ewma(solver_recycle_rate_,
-         static_cast<double>(recycled) / static_cast<double>(calls));
   }
 }
 
@@ -121,11 +103,8 @@ void YieldLedger::save_planning_state(Bytes& out) const {
 void YieldLedger::save_state(Bytes& out) const {
   save_planning_state(out);
   put_f64(out, replay_recycle_rate_);
-  put_f64(out, solver_recycle_rate_);
   put_varint(out, replay_hits_base_);
   put_varint(out, replay_misses_base_);
-  put_varint(out, solver_calls_base_);
-  put_varint(out, solver_recycled_base_);
 }
 
 bool YieldLedger::load_state(StateReader& r) {
@@ -156,11 +135,8 @@ bool YieldLedger::load_state(StateReader& r) {
     decode_fields(r, equities_[key]);
   }
   replay_recycle_rate_ = r.f64();
-  solver_recycle_rate_ = r.f64();
   replay_hits_base_ = r.u64();
   replay_misses_base_ = r.u64();
-  solver_calls_base_ = r.u64();
-  solver_recycled_base_ = r.u64();
   return r.ok();
 }
 

@@ -7,8 +7,8 @@
 // risk-adjusted return, with an optimism bonus for the unexplored. Until
 // this PR that rule lived only inside one cooperative-exploration run; the
 // telemetry layer (PR 5) measures exactly the returns it needs — new paths
-// per directive, replay-recycling rate, solver-cache tier hits, frontier
-// sizes — but nothing fed them back.
+// per directive, replay-recycling rate, frontier sizes — but nothing fed
+// them back.
 //
 // This module closes the loop with two pieces:
 //
@@ -130,23 +130,21 @@ class YieldLedger {
   };
   const EquityEstimate* equity(ProgramId program, std::uint64_t key) const;
 
-  // --- fleet-level recycling signals ---------------------------------------
-  // Deltas of the hive's serial pipeline/proof stats (the same structs the
-  // obs layer publishes from; baselines are kept internally). Updates the
-  // fleet-wide replay- and solver-recycling EWMAs. These are ADVISORY
-  // telemetry: the replay cache is deliberately ephemeral (a resumed hive
-  // re-replays cold), so the post-resume hit/miss stream — and therefore
-  // this EWMA — differs from an uninterrupted run's. The
-  // allocation rule never reads them; only the program/equity estimates
-  // (planning_state_equals) carry the bit-identical resume guarantee.
-  void observe_hive(const IngestStats& ingest,
-                    const Hive::ProofClosureStats& proof);
-  // Same signals read from a registry delta snapshot instead — for
-  // operators driving a ledger from exported telemetry. Counter names are
-  // the obs layer's (hive.replay.cache_{hits,misses}_total, solver.*).
+  // --- fleet-level recycling signal ----------------------------------------
+  // Deltas of the hive's replay-cache stats (the same struct the obs layer
+  // publishes from; baselines are kept internally). Updates the fleet-wide
+  // replay-recycling EWMA. This is ADVISORY telemetry: the replay cache is
+  // deliberately ephemeral (a resumed hive re-replays cold), so the
+  // post-resume hit/miss stream — and therefore this EWMA — differs from an
+  // uninterrupted run's. The allocation rule never reads it; only the
+  // program/equity estimates (planning_state_equals) carry the
+  // bit-identical resume guarantee.
+  void observe_hive(const IngestStats& ingest);
+  // Same signal read from a registry delta snapshot instead — for operators
+  // driving a ledger from exported telemetry. Counter names are the obs
+  // layer's (hive.replay.cache_{hits,misses}_total).
   void ingest_metrics_delta(const obs::MetricsSnapshot& delta);
   double replay_recycle_rate() const { return replay_recycle_rate_; }
-  double solver_recycle_rate() const { return solver_recycle_rate_; }
 
   // --- persistence (src/store) --------------------------------------------
   void save_state(Bytes& out) const;
@@ -156,7 +154,7 @@ class YieldLedger {
   // Byte equality of the allocation inputs alone — per-program and
   // per-equity estimates. This is the resume differential's surface: every
   // AdaptivePlanner decision is a pure function of it, so equal planning
-  // state means equal schedules, while the advisory recycle-rate EWMAs may
+  // state means equal schedules, while the advisory recycle-rate EWMA may
   // differ across a kill/resume without any behavioral divergence.
   bool planning_state_equals(const YieldLedger& other) const;
 
@@ -185,9 +183,7 @@ class YieldLedger {
   std::map<std::uint64_t, ProgramState> programs_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, EquityEstimate> equities_;
   double replay_recycle_rate_ = 0.0;
-  double solver_recycle_rate_ = 0.0;
   std::uint64_t replay_hits_base_ = 0, replay_misses_base_ = 0;
-  std::uint64_t solver_calls_base_ = 0, solver_recycled_base_ = 0;
 };
 
 // The allocation rule. Stateless apart from its config: every decision is a

@@ -263,7 +263,6 @@ CoopResult run_cooperative_exploration(const CorpusEntry& entry,
   ExploreOptions opt;
   opt.input_domains = domains_of(entry);
   opt.max_paths = 1u << 20;
-  opt.solver_cache = config.solver_cache;
   SymbolicExecutor ex(entry.program, opt);
   const auto paths = ex.explore();
   result.complete = ex.stats().complete;

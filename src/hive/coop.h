@@ -30,7 +30,6 @@
 
 namespace softborg {
 
-class SolverCache;
 class YieldLedger;
 
 enum class PartitionStrategy : std::uint8_t {
@@ -52,10 +51,6 @@ struct CoopConfig {
   NetConfig net;
   std::uint64_t seed = 1;
   std::uint64_t max_ticks = 2'000'000;
-  // Optional solver-result recycling cache for the ground-truth exploration
-  // (sym/solver_cache.h). Not owned; the caller serializes access — the
-  // simulation itself runs on one thread.
-  SolverCache* solver_cache = nullptr;
   // Optional adaptive ledger (hive/adapt.h). When set, kPortfolio seeds its
   // per-equity cost estimates from the ledger's cross-run priors instead of
   // starting cold, and the run writes the observed per-equity mean unit
@@ -73,7 +68,6 @@ struct CoopConfig {
         field(&C::respawn_ticks), field(&C::death_detect_ticks),
         field(&C::split_depth), field(&C::net), field(&C::seed),
         field(&C::max_ticks),
-        exempt(&C::solver_cache, "a pointer World overwrites"),
         exempt(&C::yield, "a pointer World overwrites")};
   }
 };

@@ -7,7 +7,7 @@ namespace softborg {
 
 std::vector<GuidanceDirective> GuidancePlanner::plan_frontier(
     const CorpusEntry& entry, const ExecTree& tree,
-    std::size_t max_directives, SolverCache* cache) {
+    std::size_t max_directives) {
   std::vector<GuidanceDirective> out;
   if (entry.program.num_threads() != 1) return out;
 
@@ -24,7 +24,6 @@ std::vector<GuidanceDirective> GuidancePlanner::plan_frontier(
     opt.input_domains = domains_of(entry);
     opt.max_paths = config_.max_paths_per_frontier;
     opt.solver = config_.solver;
-    opt.solver_cache = cache;
     opt.check_crashes = false;  // guidance only needs a witness
     SymbolicExecutor ex(entry.program, opt);
     const auto paths = ex.explore_subtree(target);

@@ -56,12 +56,10 @@ class GuidancePlanner {
       : config_(config) {}
 
   // Input/fault directives targeting up to `max_directives` frontier gaps
-  // of a single-threaded program's tree. `cache`, when non-null, recycles
-  // solver results across frontiers (and across programs, via the caller).
+  // of a single-threaded program's tree.
   std::vector<GuidanceDirective> plan_frontier(const CorpusEntry& entry,
                                                const ExecTree& tree,
-                                               std::size_t max_directives,
-                                               SolverCache* cache = nullptr);
+                                               std::size_t max_directives);
 
   // Schedule-exploration directives for multi-threaded programs: plans that
   // force long runs of each thread at staggered offsets, plus random mixes.

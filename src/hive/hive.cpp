@@ -598,11 +598,7 @@ std::vector<GuidanceDirective> Hive::plan_guidance_for(
   if (entry.program.num_threads() == 1) {
     ExecTree* t = tree(entry.program.id);
     if (t == nullptr) return {};
-    // Guidance shares the hive-wide cache: frontier witnesses recycle models
-    // and UNSAT proofs left behind by earlier proof attempts, and vice versa.
-    return planner_.plan_frontier(entry, *t, per_program,
-                                  config_.solver_cache ? &solver_cache_
-                                                       : nullptr);
+    return planner_.plan_frontier(entry, *t, per_program);
   }
   return planner_.plan_schedules(entry, per_program, rng_);
 }
@@ -613,18 +609,16 @@ ProofCertificate Hive::attempt_proof(ProgramId program, Property property) {
   SB_CHECK(entry != nullptr);
   auto [it, inserted] = trees_.try_emplace(program.value, program);
   ProofCertificate cert =
-      prover_.attempt(*entry, it->second, property, config_.proof_budget,
-                      config_.solver_cache ? &solver_cache_ : nullptr);
-  if (cert.publishable()) proofs_.push_back({cert, false});
+      prover_.attempt(*entry, it->second, property, config_.proof_budget);
+  if (cert.publishable() && !holds_unrevoked(cert)) {
+    proofs_.push_back({cert, false});
+  }
   proof_stats_.attempts++;
   if (cert.publishable()) proof_stats_.publishable++;
   if (!cert.holds) proof_stats_.refuted++;
   proof_stats_.solver_calls += cert.solver_calls;
-  proof_stats_.solver_cache_hits += cert.solver_cache_hits;
-  proof_stats_.solver_unsat_subsumed += cert.solver_unsat_subsumed;
-  proof_stats_.solver_models_reused += cert.solver_models_reused;
-  // Solver-tier telemetry publishes here, where every proof attempt ends:
-  // the certificates are deterministic, so so are these counters.
+  // Proof telemetry publishes here, where every proof attempt ends: the
+  // certificates are deterministic, so so are these counters.
   publish_metrics();
   if (obs::Recorder::enabled()) {
     // Closes the causal chain: inherits the worker thread's trace context
@@ -697,6 +691,21 @@ void Hive::revoke_proofs(ProgramId program) {
   }
 }
 
+bool Hive::holds_unrevoked(const ProofCertificate& cert) const {
+  const auto content = [](ProofCertificate c) {
+    c.id = ProofId(0);
+    c.day_issued = 0;
+    return c;
+  };
+  const ProofCertificate want = content(cert);
+  for (const auto& published : proofs_) {
+    if (!published.revoked && content(published.certificate) == want) {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::size_t Hive::valid_proof_count() const {
   std::size_t n = 0;
   for (const auto& published : proofs_) {
@@ -741,10 +750,12 @@ std::vector<std::uint64_t> sorted_map_keys(const Map& m) {
   return keys;
 }
 
-// Leads every hive state. An older binary's state starts with the
-// traces_ingested count instead, which never reaches this value, so its
-// layout is refused rather than misread.
-constexpr std::uint64_t kStateLayoutTag = 0x48495645'00000002ULL;  // "HIVE" 2
+// Leads every hive state, and changes whenever the layout does (3: the
+// proof stats and certificates lost their solver-cache counters). An older
+// binary's state starts with another tag, or with the traces_ingested count
+// before tags existed, which never reaches this value, so its layout is
+// refused rather than misread.
+constexpr std::uint64_t kStateLayoutTag = 0x48495645'00000003ULL;  // "HIVE" 3
 
 }  // namespace
 

@@ -44,7 +44,6 @@
 #include "hive/proof.h"
 #include "minivm/corpus.h"
 #include "privacy/anonymize.h"
-#include "sym/solver_cache.h"
 #include "trace/sampling.h"
 #include "tree/exec_tree.h"
 
@@ -66,10 +65,6 @@ struct HiveConfig {
   // Replay-memoization entries kept before the cache resets (generational
   // eviction: O(1) amortized, good enough for streaming trace workloads).
   std::size_t replay_cache_capacity = 1 << 16;
-  // Solver-result recycling (sym/solver_cache.h): when true, proof attempts
-  // and guidance planning route feasibility queries through a hive-wide
-  // cache so constraints proven once are never re-solved.
-  bool solver_cache = true;
   // First ProofId this hive hands out (ShardWorker gives each shard a disjoint
   // block, mirroring FixerConfig::next_fix_id).
   std::uint64_t next_proof_id = 1;
@@ -88,8 +83,8 @@ struct HiveConfig {
         exempt(&C::replay_cache_capacity,
                "the replay cache is not persisted: a resumed hive starts it "
                "cold whatever its size"),
-        field(&C::solver_cache), field(&C::next_proof_id), field(&C::fixer),
-        field(&C::proof_budget), field(&C::guidance)};
+        field(&C::next_proof_id), field(&C::fixer), field(&C::proof_budget),
+        field(&C::guidance)};
   }
 };
 
@@ -199,13 +194,15 @@ class Hive {
   std::vector<GuidanceDirective> plan_guidance_for(const CorpusEntry& entry,
                                                    std::size_t per_program);
 
-  // Attempts a cumulative proof for one program.
+  // Attempts a cumulative proof for one program. A publishable certificate
+  // is published unless the program already holds an unrevoked one with
+  // the same content (equal but for id and day_issued): re-proving an
+  // unchanged program adds nothing to the ledger.
   ProofCertificate attempt_proof(ProgramId program, Property property);
 
   // Proof gap closure for the whole corpus (or an explicit program slice):
-  // attempt_proof on each entry in order, so an attempt recycles what the
-  // earlier attempts of the same sweep put in the solver cache. Certificates
-  // come back in entry order; publishable ones are published in that order.
+  // attempt_proof on each entry in order. Certificates come back in entry
+  // order; publishable ones are published in that order.
   std::vector<ProofCertificate> attempt_proofs_all(Property property);
   std::vector<ProofCertificate> attempt_proofs_for(
       const std::vector<const CorpusEntry*>& entries, Property property);
@@ -242,13 +239,6 @@ class Hive {
   }
   std::size_t valid_proof_count() const;
 
-  // The hive-wide solver-result recycling cache (empty and unused when
-  // HiveConfig::solver_cache is false). Exposed so fleets can seed a hive
-  // from another's accumulated results (merge_from) — the paper's
-  // "collective information recycling" across hives.
-  SolverCache& solver_cache() { return solver_cache_; }
-  const SolverCache& solver_cache() const { return solver_cache_; }
-
   // Telemetry for every proof attempt this hive made (attempt_proof and the
   // sweep paths alike), summed from the certificates.
   struct ProofClosureStats {
@@ -256,13 +246,10 @@ class Hive {
     std::uint64_t publishable = 0;
     std::uint64_t refuted = 0;  // attempts that found a counterexample
     std::uint64_t solver_calls = 0;
-    std::uint64_t solver_cache_hits = 0;
-    std::uint64_t solver_unsat_subsumed = 0;
-    std::uint64_t solver_models_reused = 0;
 
-    std::uint64_t recycled() const {
-      return solver_cache_hits + solver_unsat_subsumed + solver_models_reused;
-    }
+    // Always 0: the hive caches no solver results. Kept only because
+    // perfbench's fleet_loop still reads it for hive.proof_recycle_ratio.
+    std::uint64_t recycled() const { return 0; }
     bool operator==(const ProofClosureStats&) const = default;
 
     static constexpr auto fields() {
@@ -271,10 +258,7 @@ class Hive {
           field(&S::attempts, "proof.attempts_total"),
           field(&S::publishable, "proof.publishable_total"),
           field(&S::refuted, "proof.refuted_total"),
-          field(&S::solver_calls, "solver.calls_total"),
-          field(&S::solver_cache_hits, "solver.exact_hits_total"),
-          field(&S::solver_unsat_subsumed, "solver.unsat_subsumed_total"),
-          field(&S::solver_models_reused, "solver.models_reused_total")};
+          field(&S::solver_calls, "solver.calls_total")};
     }
   };
   const ProofClosureStats& proof_stats() const { return proof_stats_; }
@@ -319,8 +303,8 @@ class Hive {
 
   // --- durable store (src/store) ---------------------------------------------
   // save_state/load_state cover every accumulated ledger except the trees
-  // and the solver cache (separate parts below, so warm starts can import
-  // them without the run-specific state) and the replay memoization cache
+  // (a separate part below, so warm starts can import them without the
+  // run-specific state) and the replay memoization cache
   // (pure derived perf state: replay is deterministic, so it re-fills
   // identically — only IngestStats timing telemetry could notice).
   // The dedup window goes in as its clock and its live days only, so the
@@ -448,7 +432,6 @@ class Hive {
   ReplayCache replay_cache_;
   std::unique_ptr<ThreadPool> ingest_pool_;  // lazily created
 
-  SolverCache solver_cache_;
   ProofClosureStats proof_stats_;
 
   BugTracker bugs_;
@@ -458,6 +441,9 @@ class Hive {
   Rng rng_;
 
   void revoke_proofs(ProgramId program);
+  // True when an unrevoked published certificate has cert's content (id
+  // and day_issued aside).
+  bool holds_unrevoked(const ProofCertificate& cert) const;
 
   std::uint64_t latest_day_seen_ = 0;
   std::unordered_set<std::uint64_t> fix_attempted_bugs_;

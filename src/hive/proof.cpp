@@ -70,8 +70,7 @@ Outcome outcome_of_terminal(PathTerminal t) {
 
 ProofCertificate ProofEngine::attempt(const CorpusEntry& entry,
                                       ExecTree& tree, Property property,
-                                      const ProofBudget& budget,
-                                      SolverCache* cache) {
+                                      const ProofBudget& budget) {
   ProofCertificate cert;
   cert.id = ProofId(next_id_++);
   cert.program = entry.program.id;
@@ -88,13 +87,6 @@ ProofCertificate ProofEngine::attempt(const CorpusEntry& entry,
     opt.input_domains = cert.input_domain;
     opt.max_paths = budget.max_symbolic_paths;
     opt.solver = budget.solver;
-    opt.solver_cache = cache;
-    const auto account = [&cert](const ExploreStats& s) {
-      cert.solver_calls += s.solver_calls;
-      cert.solver_cache_hits += s.solver_cache_hits;
-      cert.solver_unsat_subsumed += s.solver_unsat_subsumed;
-      cert.solver_models_reused += s.solver_models_reused;
-    };
 
     // Bootstrap: with no natural executions yet, the proof attempt is a
     // pure symbolic exploration (the "test suite" end of the spectrum is
@@ -107,7 +99,7 @@ ProofCertificate ProofEngine::attempt(const CorpusEntry& entry,
             p.decisions, outcome_of_terminal(p.terminal), p.crash);
         if (r.new_path) cert.paths_from_symbolic++;
       }
-      account(ex.stats());
+      cert.solver_calls += ex.stats().solver_calls;
       // If exploration was cut, completion cannot be claimed; the property
       // check below still reports refutations found so far.
       bootstrap_cut = !ex.stats().complete;
@@ -129,7 +121,7 @@ ProofCertificate ProofEngine::attempt(const CorpusEntry& entry,
 
         SymbolicExecutor ex(entry.program, opt);
         const auto paths = ex.explore_subtree(target);
-        account(ex.stats());
+        cert.solver_calls += ex.stats().solver_calls;
         if (paths.empty() && ex.stats().complete) {
           // Direction refuted: no feasible execution goes that way.
           if (tree.mark_infeasible(f.prefix, f.site, f.direction, f.node)) {
@@ -183,6 +175,14 @@ bool check_certificate(const CorpusEntry& entry, const ProofCertificate& cert,
     return false;
   };
   if (!cert.publishable()) return fail("certificate is not publishable");
+  if (cert.program != entry.program.id) {
+    return fail("certificate covers program " +
+                std::to_string(cert.program.value) + ", not " +
+                std::to_string(entry.program.id.value));
+  }
+  if (cert.input_domain != domains_of(entry)) {
+    return fail("certificate input domain is not the program's");
+  }
   if (entry.program.num_threads() != 1) {
     return fail("checker supports single-threaded programs only");
   }
@@ -253,9 +253,6 @@ void encode_certificate(Bytes& out, const ProofCertificate& cert) {
   }
   put_varint(out, static_cast<std::uint64_t>(cert.counterexample_outcome));
   put_varint(out, cert.solver_calls);
-  put_varint(out, cert.solver_cache_hits);
-  put_varint(out, cert.solver_unsat_subsumed);
-  put_varint(out, cert.solver_models_reused);
   put_varint(out, cert.day_issued);
 }
 
@@ -291,9 +288,6 @@ bool decode_certificate(StateReader& r, ProofCertificate& cert) {
   }
   cert.counterexample_outcome = static_cast<Outcome>(r.u64_max(4));
   cert.solver_calls = r.u64();
-  cert.solver_cache_hits = r.u64();
-  cert.solver_unsat_subsumed = r.u64();
-  cert.solver_models_reused = r.u64();
   cert.day_issued = r.u64();
   return r.ok();
 }

@@ -60,14 +60,9 @@ struct ProofCertificate {
   std::vector<SymDecision> counterexample;
   Outcome counterexample_outcome = Outcome::kOk;
 
-  // Solver telemetry for this attempt, summed over every executor the
-  // engine spawned. The cache counters say how much of the solver work was
-  // recycled instead of re-derived (0 when no cache was supplied); the
-  // fresh-solve count is solver_calls minus the three.
+  // Solver queries this attempt made, summed over every executor the
+  // engine spawned.
   std::uint64_t solver_calls = 0;
-  std::uint64_t solver_cache_hits = 0;
-  std::uint64_t solver_unsat_subsumed = 0;
-  std::uint64_t solver_models_reused = 0;
 
   std::uint64_t day_issued = 0;
 
@@ -110,12 +105,8 @@ class ProofEngine {
   // directions marked). Multi-threaded programs are rejected for
   // kNeverCrashes/kAlwaysTerminates (their decision trees are schedule-
   // woven) but kNeverDeadlocks can still be refuted from observations.
-  // `cache`, when non-null, recycles solver results across the attempt's
-  // executors (and, via the caller, across attempts and programs); the
-  // certificate's cache counters report what it saved.
   ProofCertificate attempt(const CorpusEntry& entry, ExecTree& tree,
-                           Property property, const ProofBudget& budget = {},
-                           SolverCache* cache = nullptr);
+                           Property property, const ProofBudget& budget = {});
 
   // Durable-store save/restore: a resumed hive continues the saved id
   // sequence.
@@ -126,16 +117,17 @@ class ProofEngine {
   std::uint64_t next_id_;
 };
 
-// Independent certificate checker: exhaustively (or densely, bounded by
-// max_checks) re-executes the program over the certificate's input domain
-// and verifies (a) the property indeed holds on every run and (b) the
-// number of distinct decision paths does not exceed the census. Returns
-// false with a reason on any discrepancy.
+// Independent certificate checker: refuses a certificate that names
+// another program or an input domain other than domains_of(entry), then
+// exhaustively (or densely, bounded by max_checks) re-executes the program
+// over that domain and verifies (a) the property indeed holds on every run
+// and (b) the number of distinct decision paths does not exceed the census.
+// Returns false with a reason on any discrepancy.
 bool check_certificate(const CorpusEntry& entry, const ProofCertificate& cert,
                        std::uint64_t max_checks, std::string* reason);
 
 // Durable-store codec: a resumed run's published-proof ledger round-trips
-// exactly (operator== above), solver-cache counters included. decode
+// exactly (operator== above). decode
 // validates every enum tag and domain bound; false = reader failed.
 void encode_certificate(Bytes& out, const ProofCertificate& cert);
 bool decode_certificate(StateReader& r, ProofCertificate& cert);

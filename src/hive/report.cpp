@@ -74,16 +74,11 @@ std::string hive_status_report(Hive& hive) {
   const Hive::ProofClosureStats& ps = hive.proof_stats();
   out += line(
       "proof closure: %llu attempts (%llu publishable, %llu refuted), "
-      "solver calls %llu, recycled %llu (exact %llu, subsumed %llu, "
-      "models %llu)",
+      "solver calls %llu",
       static_cast<unsigned long long>(ps.attempts),
       static_cast<unsigned long long>(ps.publishable),
       static_cast<unsigned long long>(ps.refuted),
-      static_cast<unsigned long long>(ps.solver_calls),
-      static_cast<unsigned long long>(ps.recycled()),
-      static_cast<unsigned long long>(ps.solver_cache_hits),
-      static_cast<unsigned long long>(ps.solver_unsat_subsumed),
-      static_cast<unsigned long long>(ps.solver_models_reused));
+      static_cast<unsigned long long>(ps.solver_calls));
   bool any_coop = false;
   for (std::size_t strat = 0; strat < hive.coop_stats().size(); ++strat) {
     const Hive::CoopStrategyStats& cs = hive.coop_stats()[strat];

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "sym/solver_cache.h"
 
 namespace softborg {
 
@@ -195,23 +194,9 @@ class SymbolicExecutor::Impl {
     }
   }
 
-  // One solver query, routed through the recycling cache when configured;
-  // classifies the answer's source into the cache counters.
   SolveResult query(const PathConstraint& pc,
                     const std::vector<VarDomain>& unknown_domains) {
     stats_.solver_calls++;
-    if (opt_.solver_cache != nullptr) {
-      CacheLookup outcome = CacheLookup::kMiss;
-      const SolveResult r = opt_.solver_cache->solve(
-          pc, opt_.input_domains, unknown_domains, opt_.solver, &outcome);
-      switch (outcome) {
-        case CacheLookup::kExactHit: stats_.solver_cache_hits++; break;
-        case CacheLookup::kUnsatSubsumed: stats_.solver_unsat_subsumed++; break;
-        case CacheLookup::kModelReused: stats_.solver_models_reused++; break;
-        case CacheLookup::kMiss: break;
-      }
-      return r;
-    }
     return solve_path(pc, opt_.input_domains, unknown_domains, opt_.solver);
   }
 

@@ -33,8 +33,6 @@
 
 namespace softborg {
 
-class SolverCache;
-
 struct SymDecision {
   std::uint32_t site = 0;
   bool taken = false;
@@ -72,10 +70,6 @@ struct ExploreOptions {
   SolverOptions solver;
   bool check_crashes = true;
   const EnvModel* env = nullptr;  // defaults to default_env()
-  // Optional solver-result recycling cache; feasibility checks route
-  // through it when set (sym/solver_cache.h). Not owned, not thread-safe —
-  // concurrent executors need distinct caches.
-  SolverCache* solver_cache = nullptr;
 };
 
 struct ExploreStats {
@@ -85,11 +79,6 @@ struct ExploreStats {
   std::uint64_t solver_sat = 0;
   std::uint64_t solver_unsat = 0;
   std::uint64_t solver_unknown = 0;
-  // Of solver_calls, how many the recycling cache answered without solving
-  // (always 0 when ExploreOptions::solver_cache is null).
-  std::uint64_t solver_cache_hits = 0;      // exact canonical-key hits
-  std::uint64_t solver_unsat_subsumed = 0;  // UNSAT via cached-subset proof
-  std::uint64_t solver_models_reused = 0;   // SAT via recycled witness
   std::uint64_t infeasible_pruned = 0;
   std::uint64_t total_steps = 0;
   // True iff exploration covered every feasible path with no budget cut and

@@ -71,10 +71,7 @@ TEST(YieldLedger, PersistenceRoundTripsEveryField) {
   IngestStats ing;
   ing.replay_cache_hits = 8;
   ing.replay_cache_misses = 2;
-  Hive::ProofClosureStats ps;
-  ps.solver_calls = 10;
-  ps.solver_cache_hits = 4;
-  ledger.observe_hive(ing, ps);
+  ledger.observe_hive(ing);
 
   Bytes bytes;
   ledger.save_state(bytes);
@@ -87,8 +84,8 @@ TEST(YieldLedger, PersistenceRoundTripsEveryField) {
   // survived, so the next observe_hive sees a delta, not the cumulative).
   YieldLedger copy = ledger;
   ing.replay_cache_hits = 10;
-  restored.observe_hive(ing, ps);
-  copy.observe_hive(ing, ps);
+  restored.observe_hive(ing);
+  copy.observe_hive(ing);
   EXPECT_DOUBLE_EQ(restored.replay_recycle_rate(),
                    copy.replay_recycle_rate());
 
@@ -125,14 +122,9 @@ TEST(YieldLedger, MetricsDeltaFeedsRecycleRates) {
   YieldLedger ledger(config);
   obs::MetricsSnapshot delta;
   delta.counters = {{"hive.replay.cache_hits_total", 8},
-                    {"hive.replay.cache_misses_total", 2},
-                    {"solver.calls_total", 10},
-                    {"solver.exact_hits_total", 3},
-                    {"solver.models_reused_total", 1},
-                    {"solver.unsat_subsumed_total", 2}};
+                    {"hive.replay.cache_misses_total", 2}};
   ledger.ingest_metrics_delta(delta);
   EXPECT_DOUBLE_EQ(ledger.replay_recycle_rate(), 0.8);
-  EXPECT_DOUBLE_EQ(ledger.solver_recycle_rate(), 0.6);
   // An empty delta must not disturb the estimates (no divide-by-zero day).
   ledger.ingest_metrics_delta(obs::MetricsSnapshot{});
   EXPECT_DOUBLE_EQ(ledger.replay_recycle_rate(), 0.8);

@@ -291,6 +291,78 @@ TEST(Proof, CheckerRejectsUnpublishable) {
   EXPECT_FALSE(reason.empty());
 }
 
+// Mutations of certificates the checker accepts. Each mutant must be
+// refused with a reason.
+ProofCertificate proven_worker_pool(const CorpusEntry& entry) {
+  ExecTree tree(entry.program.id);
+  observe(tree, entry, {10});
+  observe(tree, entry, {70});
+  ProofEngine engine;
+  return engine.attempt(entry, tree, Property::kNeverCrashes);
+}
+
+TEST(Proof, CheckerRejectsAnotherProgramsCertificate) {
+  const auto pool = make_worker_pool();
+  ProofCertificate cert = proven_worker_pool(pool);
+  std::string reason;
+  ASSERT_TRUE(check_certificate(pool, cert, 1u << 16, &reason)) << reason;
+
+  cert.program = make_media_parser().program.id;
+  EXPECT_FALSE(check_certificate(pool, cert, 1u << 16, &reason));
+  EXPECT_NE(reason.find("program"), std::string::npos) << reason;
+}
+
+TEST(Proof, CheckerRejectsADomainNarrowedAwayFromTheCrash) {
+  // media_parser crashes for format 13 and size >= 200. Its complete but
+  // refuted certificate, forged to claim the property over sizes 0..199
+  // only, would pass every re-execution the checker makes there.
+  const auto entry = make_media_parser();
+  ExecTree tree(entry.program.id);
+  observe(tree, entry, {20, 100});
+  ProofEngine engine;
+  ProofCertificate cert = engine.attempt(entry, tree, Property::kNeverCrashes);
+  ASSERT_TRUE(cert.complete);
+  ASSERT_FALSE(cert.holds);
+  cert.holds = true;
+  cert.counterexample.clear();
+  ASSERT_EQ(cert.input_domain.size(), 2u);
+  cert.input_domain[1].hi = 199;
+
+  std::string reason;
+  EXPECT_FALSE(check_certificate(entry, cert, 1u << 20, &reason));
+  EXPECT_NE(reason.find("domain"), std::string::npos) << reason;
+}
+
+TEST(Proof, CheckerRejectsAnEmptyDomain) {
+  const auto pool = make_worker_pool();
+  ProofCertificate cert = proven_worker_pool(pool);
+  cert.input_domain.clear();
+  std::string reason;
+  EXPECT_FALSE(check_certificate(pool, cert, 1u << 16, &reason));
+  EXPECT_NE(reason.find("domain"), std::string::npos) << reason;
+}
+
+TEST(Proof, CheckerRejectsAnUndercountedCensusOrAFailedProperty) {
+  const auto entry = make_config_space(6);
+  ExecTree tree(entry.program.id);
+  observe(tree, entry, {0, 0, 0, 0, 0, 0});
+  ProofEngine engine;
+  const ProofCertificate cert =
+      engine.attempt(entry, tree, Property::kNeverCrashes);
+  std::string reason;
+  ASSERT_TRUE(check_certificate(entry, cert, 1u << 20, &reason)) << reason;
+
+  ProofCertificate undercounted = cert;
+  undercounted.paths_total = 63;
+  EXPECT_FALSE(check_certificate(entry, undercounted, 1u << 20, &reason));
+  EXPECT_NE(reason.find("distinct paths"), std::string::npos) << reason;
+
+  ProofCertificate failed = cert;
+  failed.holds = false;
+  EXPECT_FALSE(check_certificate(entry, failed, 1u << 20, &reason));
+  EXPECT_NE(reason.find("not publishable"), std::string::npos) << reason;
+}
+
 TEST(Proof, MagicLookupProofRequiresFindingTheNeedle) {
   // Proving never-crashes must FAIL (refuted): the needle is feasible.
   const auto entry = make_magic_lookup();
@@ -716,6 +788,38 @@ TEST_F(HiveTest, ProofAfterIngestingExecutions) {
   EXPECT_GT(cert.paths_from_executions, 0u);
   EXPECT_GT(cert.paths_from_symbolic, 0u);
   EXPECT_EQ(hive_.published_proofs().size(), 1u);
+}
+
+TEST_F(HiveTest, ReproofOfAnUnchangedProgramPublishesOnce) {
+  // One trace down each of magic_lookup's two paths completes its tree from
+  // natural executions alone, so every never-deadlocks attempt issues the
+  // same certificate content.
+  const auto& lookup = entry("magic_lookup");
+  hive_.ingest(failing_trace(lookup, {7}, 1));
+  hive_.ingest(failing_trace(lookup, {4242}, 2));
+  ASSERT_TRUE(hive_.tree(lookup.program.id)->complete());
+
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(hive_.attempt_proof(lookup.program.id,
+                                    Property::kNeverDeadlocks)
+                    .publishable());
+  }
+  EXPECT_EQ(hive_.proof_stats().publishable, 5u);
+  ASSERT_EQ(hive_.published_proofs().size(), 1u);
+  EXPECT_EQ(hive_.valid_proof_count(), 1u);
+
+  // The crash fix changes the deployed program and revokes the proof; the
+  // next re-proof publishes again, under the id its attempt drew.
+  ASSERT_EQ(hive_.process().size(), 1u);
+  EXPECT_EQ(hive_.valid_proof_count(), 0u);
+  const ProofCertificate again =
+      hive_.attempt_proof(lookup.program.id, Property::kNeverDeadlocks);
+  EXPECT_EQ(again.id, ProofId(6));
+  ASSERT_EQ(hive_.published_proofs().size(), 2u);
+  EXPECT_TRUE(hive_.published_proofs()[0].revoked);
+  EXPECT_FALSE(hive_.published_proofs()[1].revoked);
+  EXPECT_EQ(hive_.published_proofs()[1].certificate, again);
+  EXPECT_EQ(hive_.valid_proof_count(), 1u);
 }
 
 TEST_F(HiveTest, KAnonymityGateHoldsRarePaths) {

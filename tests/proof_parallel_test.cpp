@@ -1,7 +1,6 @@
 // Differential tests for proof gap closure: the attempt_proofs_all sweep
-// must equal a plain loop of attempt_proof calls — certificates, trees,
-// closure telemetry and the solver cache alike — and the solver-result
-// recycling cache must be invisible outside the telemetry.
+// must equal a plain loop of attempt_proof calls — certificates, trees and
+// closure telemetry alike.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -41,8 +40,6 @@ struct ClosureResult {
   std::map<std::uint64_t, Bytes> trees;  // program id -> encoded tree
   Hive::ProofClosureStats stats;
   std::size_t valid_proofs = 0;
-  std::size_t cache_size = 0;
-  Bytes cache_state;  // SolverCache::save_state, slot-exact
 };
 
 // Snapshots everything of a hive a proof-closure divergence could show up
@@ -58,18 +55,14 @@ ClosureResult snapshot(Hive& hive, const std::vector<CorpusEntry>& corpus,
   }
   out.stats = hive.proof_stats();
   out.valid_proofs = hive.valid_proof_count();
-  out.cache_size = hive.solver_cache().size();
-  hive.solver_cache().save_state(out.cache_state);
   return out;
 }
 
 // One hive lifecycle: batch-ingest the workload, then run the full-corpus
-// proof sweep with or without the solver cache.
+// proof sweep.
 ClosureResult run_closure(const std::vector<CorpusEntry>& corpus,
-                          const std::vector<Bytes>& wires, bool cache) {
-  HiveConfig config;
-  config.solver_cache = cache;
-  Hive hive(&corpus, config);
+                          const std::vector<Bytes>& wires) {
+  Hive hive(&corpus);
   hive.ingest_batch(wires);
   auto certs = hive.attempt_proofs_all(kProperty);
   return snapshot(hive, corpus, std::move(certs));
@@ -85,78 +78,28 @@ void expect_identical(const ClosureResult& a, const ClosureResult& b) {
   EXPECT_EQ(a.trees, b.trees);  // byte-identical wire encodings
   EXPECT_TRUE(a.stats == b.stats);
   EXPECT_EQ(a.valid_proofs, b.valid_proofs);
-  EXPECT_EQ(a.cache_size, b.cache_size);
-  EXPECT_EQ(a.cache_state, b.cache_state);
 }
 
-// Certificates with the attempt-local solver telemetry scrubbed: the
-// semantic payload (census, completeness, verdict, counterexample) that
-// must not depend on whether a cache answered the queries.
-ProofCertificate scrub_solver_counters(ProofCertificate c) {
-  c.solver_calls = 0;
-  c.solver_cache_hits = 0;
-  c.solver_unsat_subsumed = 0;
-  c.solver_models_reused = 0;
-  return c;
-}
-
-// The sweep is a plain loop of attempt_proof calls: with the cache on, each
-// attempt recycles what the earlier attempts cached, so the match is exact —
-// solver telemetry and the cache itself included.
+// The sweep is a plain loop of attempt_proof calls, so the match is exact,
+// solver telemetry included.
 TEST(ProofParallel, SweepMatchesSerialAttemptLoop) {
   const auto corpus = standard_corpus();
   const auto wires = make_workload(corpus, 200, 11);
-  for (const bool cache : {true, false}) {
-    SCOPED_TRACE(cache);
-    HiveConfig config;
-    config.solver_cache = cache;
-    Hive loop_hive(&corpus, config);
-    loop_hive.ingest_batch(wires);
-    std::vector<ProofCertificate> loop_certs;
-    for (const auto& entry : corpus) {
-      loop_certs.push_back(
-          loop_hive.attempt_proof(entry.program.id, kProperty));
-    }
-    const ClosureResult loop =
-        snapshot(loop_hive, corpus, std::move(loop_certs));
-
-    const ClosureResult sweep = run_closure(corpus, wires, cache);
-    ASSERT_EQ(sweep.certs.size(), corpus.size());
-    expect_identical(loop, sweep);
-    EXPECT_GT(sweep.valid_proofs, 0u);
-    if (cache) {
-      EXPECT_GT(sweep.stats.recycled(), 0u);
-    } else {
-      EXPECT_EQ(sweep.stats.recycled(), 0u);
-      EXPECT_EQ(sweep.cache_size, 0u);
-    }
+  Hive loop_hive(&corpus);
+  loop_hive.ingest_batch(wires);
+  std::vector<ProofCertificate> loop_certs;
+  for (const auto& entry : corpus) {
+    loop_certs.push_back(loop_hive.attempt_proof(entry.program.id, kProperty));
   }
+  const ClosureResult loop = snapshot(loop_hive, corpus, std::move(loop_certs));
+
+  const ClosureResult sweep = run_closure(corpus, wires);
+  ASSERT_EQ(sweep.certs.size(), corpus.size());
+  expect_identical(loop, sweep);
+  EXPECT_GT(sweep.valid_proofs, 0u);
 }
 
-// Recycling must be invisible outside the telemetry: same verdicts, same
-// census, same trees, same published proofs with the cache on or off. (The
-// only divergence the cache is allowed — deciding a query a fresh solve
-// would give up on — cannot occur here: the default budget decides every
-// query of this corpus.)
-TEST(ProofParallel, CacheOnMatchesCacheOffSemantics) {
-  const auto corpus = standard_corpus();
-  const auto wires = make_workload(corpus, 200, 11);
-  const ClosureResult off = run_closure(corpus, wires, false);
-  const ClosureResult on = run_closure(corpus, wires, true);
-
-  ASSERT_EQ(on.certs.size(), off.certs.size());
-  for (std::size_t i = 0; i < on.certs.size(); ++i) {
-    EXPECT_TRUE(scrub_solver_counters(on.certs[i]) ==
-                scrub_solver_counters(off.certs[i]))
-        << "certificate " << i;
-    // Total query count is cache-independent; only who answers differs.
-    EXPECT_EQ(on.certs[i].solver_calls, off.certs[i].solver_calls);
-  }
-  EXPECT_EQ(on.trees, off.trees);
-  EXPECT_EQ(on.valid_proofs, off.valid_proofs);
-}
-
-// Publishable certificates from the cached sweep survive the independent
+// Publishable certificates from the sweep survive the independent
 // checker (exhaustive re-execution over the input domain).
 TEST(ProofParallel, CertificatesSurviveIndependentCheck) {
   const auto corpus = standard_corpus();
@@ -177,9 +120,9 @@ TEST(ProofParallel, CertificatesSurviveIndependentCheck) {
   EXPECT_GT(checked, 0u);
 }
 
-// End to end through the world loop: daily rotating proof slices with the
-// cached closure leave the simulation bit-reproducible, and the day series
-// actually reports closure progress.
+// End to end through the world loop: daily rotating proof slices leave the
+// simulation bit-reproducible, and the day series actually reports closure
+// progress.
 TEST(ProofParallel, WorldDailyClosureIsDeterministic) {
   const auto run_world = [] {
     WorldConfig config;
@@ -200,15 +143,11 @@ TEST(ProofParallel, WorldDailyClosureIsDeterministic) {
     EXPECT_EQ(ma.proofs_valid_total, mb.proofs_valid_total) << "day " << d;
     EXPECT_EQ(ma.proof_solver_calls_total, mb.proof_solver_calls_total)
         << "day " << d;
-    EXPECT_EQ(ma.proof_solver_recycled_total, mb.proof_solver_recycled_total)
-        << "day " << d;
     EXPECT_EQ(ma.failures, mb.failures) << "day " << d;
     EXPECT_EQ(ma.total_paths, mb.total_paths) << "day " << d;
   }
   EXPECT_TRUE(a.hive().proof_stats() == b.hive().proof_stats());
   EXPECT_EQ(a.hive().valid_proof_count(), b.hive().valid_proof_count());
-  // The rotating slice must have recycled something by day 4.
-  EXPECT_GT(a.history().back().proof_solver_recycled_total, 0u);
   EXPECT_GT(a.history().back().proofs_valid_total, 0u);
 }
 

@@ -2,8 +2,7 @@
 // carries (ISSUE 7): container round trips, crash-safety commit points,
 // strict validation (every corruption degrades to a clean load failure,
 // never a crash or a partial load), version-skew refusal, and exact
-// serialization of the accumulated hive state — including the SolverCache's
-// probe-layout-exact table dump.
+// serialization of the accumulated hive state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 #include "obs/registry.h"
 #include "privacy/anonymize.h"
 #include "store/store.h"
-#include "sym/solver_cache.h"
 #include "trace/sampling.h"
 
 namespace softborg {
@@ -339,106 +337,6 @@ TEST(StateCodec, KAnonymityGateRoundTrip) {
   EXPECT_FALSE(wrong_k.load_state(r));
 }
 
-Literal lt_lit(std::uint32_t slot, Value bound) {
-  return {make_bin(BinOp::kLt, make_input(slot), make_const(bound)), true};
-}
-
-SolverCache exercised_cache() {
-  SolverCache cache;
-  for (Value bound = 1; bound <= 40; ++bound) {
-    cache.solve({lt_lit(0, bound)}, {{0, 20}});
-    cache.solve({lt_lit(static_cast<std::uint32_t>(bound % 3), bound),
-                 lt_lit(0, bound + 1)},
-                {{0, 9}, {0, 9}, {0, 9}});
-  }
-  return cache;
-}
-
-// Satellite 3: the SolverCache round-trips its generation structure and
-// counters exactly — slot-for-slot, including stats and the resets counter.
-TEST(StateCodec, SolverCacheRoundTripIsExact) {
-  const SolverCache cache = exercised_cache();
-  Bytes wire;
-  cache.save_state(wire);
-
-  SolverCache back;
-  StateReader r(wire);
-  ASSERT_TRUE(back.load_state(r));
-  ASSERT_TRUE(r.done());
-  ASSERT_TRUE(back.state_equals(cache));
-
-  // Behavioral equivalence: a query that hits the original hits the copy
-  // with identical stats movement.
-  SolverCache a = exercised_cache(), b;
-  Bytes wire2;
-  a.save_state(wire2);
-  StateReader r2(wire2);
-  ASSERT_TRUE(b.load_state(r2));
-  CacheLookup la = CacheLookup::kMiss, lb = CacheLookup::kMiss;
-  const auto ra = a.solve({lt_lit(0, 5)}, {{0, 20}}, {}, {}, &la);
-  const auto rb = b.solve({lt_lit(0, 5)}, {{0, 20}}, {}, {}, &lb);
-  EXPECT_EQ(la, lb);
-  EXPECT_EQ(ra.status, rb.status);
-  EXPECT_EQ(ra.model, rb.model);
-  EXPECT_TRUE(a.state_equals(b));
-}
-
-TEST(StateCodec, SolverCacheGenerationResetSurvives) {
-  // Force at least one generational reset, then round-trip: the resets
-  // counter and the post-reset table must restore exactly.
-  SolverCacheConfig config;
-  config.max_entries = 8;
-  SolverCache cache(config);
-  for (Value bound = 1; bound <= 30; ++bound) {
-    cache.solve({lt_lit(0, bound)}, {{0, 100}});
-  }
-  ASSERT_GT(cache.stats().resets, 0u);
-
-  Bytes wire;
-  cache.save_state(wire);
-  SolverCache back(config);
-  StateReader r(wire);
-  ASSERT_TRUE(back.load_state(r));
-  ASSERT_TRUE(r.done());
-  EXPECT_TRUE(back.state_equals(cache));
-  EXPECT_EQ(back.stats().resets, cache.stats().resets);
-}
-
-TEST(StateCodec, SolverCacheRejectsConfigMismatch) {
-  const SolverCache cache = exercised_cache();
-  Bytes wire;
-  cache.save_state(wire);
-  SolverCacheConfig other;
-  other.max_entries = 16;
-  SolverCache back(other);
-  StateReader r(wire);
-  EXPECT_FALSE(back.load_state(r));
-}
-
-// Payload-level fuzz for the hardened component decoders (satellite 2):
-// every single-byte mutation of a valid SolverCache payload must either be
-// rejected or decode to *some* valid cache — never crash, never UB.
-TEST(StateCodec, SolverCachePayloadFuzz) {
-  const SolverCache cache = exercised_cache();
-  Bytes wire;
-  cache.save_state(wire);
-  const std::size_t stride = std::max<std::size_t>(wire.size() / 512, 1);
-  for (std::size_t pos = 0; pos < wire.size(); pos += stride) {
-    for (std::uint8_t delta : {0x01, 0x80, 0xff}) {
-      Bytes mutated = wire;
-      mutated[pos] ^= delta;
-      SolverCache victim;
-      StateReader r(mutated);
-      (void)victim.load_state(r);  // must not crash; result is don't-care
-    }
-    // Truncation at this position.
-    Bytes cut(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(pos));
-    SolverCache victim;
-    StateReader r(cut);
-    EXPECT_FALSE(victim.load_state(r) && r.done());
-  }
-}
-
 // --- whole-world parts through the container -------------------------------
 
 WorldConfig fuzz_world_config() {
@@ -455,7 +353,7 @@ WorldConfig fuzz_world_config() {
 // Mutate each part of a real World snapshot (re-written through the
 // container so checksums stay valid) and resume: the loader must reject or
 // succeed cleanly, never crash. This drives every component load_state
-// (pods, net, hive ledgers, trees, solver cache) with hostile bytes.
+// (pods, net, hive ledgers, trees, adapt ledger) with hostile bytes.
 TEST_F(StoreTest, WorldSnapshotPayloadFuzz) {
   World world(standard_corpus(), fuzz_world_config());
   for (int i = 0; i < 3; ++i) world.step_day();

@@ -99,11 +99,6 @@ TEST(TelemetryNames, PublishedCountersAreNamedAndCountTheirStats) {
                              {"proof.publishable_total", p.publishable},
                              {"proof.refuted_total", p.refuted},
                              {"solver.calls_total", p.solver_calls},
-                             {"solver.exact_hits_total", p.solver_cache_hits},
-                             {"solver.unsat_subsumed_total",
-                              p.solver_unsat_subsumed},
-                             {"solver.models_reused_total",
-                              p.solver_models_reused},
                          });
     const Hive::CoopStrategyStats& c =
         hive.coop_stats()[static_cast<std::size_t>(PartitionStrategy::kDynamic)];
@@ -268,9 +263,6 @@ TEST(TelemetryNames, PublishedCountersAreNamedAndCountTheirStats) {
       "proof.publishable_total",
       "proof.refuted_total",
       "solver.calls_total",
-      "solver.exact_hits_total",
-      "solver.models_reused_total",
-      "solver.unsat_subsumed_total",
   };
   EXPECT_EQ(names, want);
 }
