@@ -161,55 +161,88 @@ void BM_TreeCodecRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeCodecRoundTrip);
 
-// Batch ingestion workload: n mixed-program traces from the standard corpus
-// with random in-domain inputs and unique ids (dedup passes every wire).
-const std::vector<Bytes>& mixed_workload() {
-  static const std::vector<Bytes> wires = [] {
-    const auto corpus = standard_corpus();
-    Rng rng(21);
-    std::vector<Bytes> out;
-    out.reserve(4096);
-    for (std::size_t i = 0; i < 4096; ++i) {
-      const CorpusEntry& entry = corpus[rng.next_below(corpus.size())];
-      ExecConfig cfg;
-      for (const auto& d : entry.domains) {
-        cfg.inputs.push_back(rng.next_in(d.lo, d.hi));
-      }
-      cfg.seed = i + 1;
-      auto result = execute(entry.program, cfg);
-      result.trace.id = TraceId(i + 1);
-      out.push_back(encode_trace(result.trace));
+// Batch ingestion workloads, 4096 wires each with unique ids (dedup passes
+// every wire). Mixed: the standard corpus on random in-domain inputs; its
+// replay keys repeat (818 distinct), so most wires coalesce and the misses
+// are short replays into small trees. Fresh: path-rich
+// make_config_space(16..19) programs, so nearly every wire is a new path
+// and a replay miss. Both carry enough misses for ingest_batch to fan
+// replay and merge out (Hive::kFanOutMisses) when its cap allows.
+struct IngestWorkload {
+  std::vector<CorpusEntry> corpus;
+  std::vector<Bytes> wires;
+};
+
+IngestWorkload make_ingest_workload(std::vector<CorpusEntry> corpus,
+                                    std::uint64_t seed) {
+  IngestWorkload w{std::move(corpus), {}};
+  Rng rng(seed);
+  w.wires.reserve(4096);
+  for (std::size_t i = 0; i < 4096; ++i) {
+    const CorpusEntry& entry = w.corpus[rng.next_below(w.corpus.size())];
+    ExecConfig cfg;
+    for (const auto& d : entry.domains) {
+      cfg.inputs.push_back(rng.next_in(d.lo, d.hi));
     }
-    return out;
-  }();
-  return wires;
+    cfg.seed = i + 1;
+    auto result = execute(entry.program, cfg);
+    result.trace.id = TraceId(i + 1);
+    w.wires.push_back(encode_trace(result.trace));
+  }
+  return w;
 }
 
-// Arg(0): serial baseline (per-wire ingest_bytes). Arg(k>0): ingest_batch on
-// k worker threads. Each iteration ingests the full 4096-trace workload into
-// a fresh hive, so dedup and the replay cache start cold every time.
-void BM_IngestBatch(benchmark::State& state) {
-  static const std::vector<CorpusEntry> corpus = standard_corpus();
-  const std::vector<Bytes>& wires = mixed_workload();
-  const auto threads = static_cast<std::size_t>(state.range(0));
+const IngestWorkload& mixed_workload() {
+  static const IngestWorkload w = make_ingest_workload(standard_corpus(), 21);
+  return w;
+}
+
+const IngestWorkload& fresh_workload() {
+  static const IngestWorkload w = [] {
+    std::vector<CorpusEntry> corpus;
+    for (unsigned k = 16; k < 20; ++k) corpus.push_back(make_config_space(k));
+    return make_ingest_workload(std::move(corpus), 22);
+  }();
+  return w;
+}
+
+// Arg(0): serial baseline (per-wire ingest_bytes). Arg(k>0): one
+// ingest_batch with the ingest pool capped at k workers (1: inline). Each
+// iteration ingests the whole workload into a fresh hive, so dedup and the
+// replay cache start cold every time.
+void run_ingest(benchmark::State& state, const IngestWorkload& w) {
+  const auto cap = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     HiveConfig cfg;
-    cfg.ingest_threads = threads;
-    Hive hive(&corpus, cfg);
-    if (threads == 0) {
-      for (const auto& w : wires) hive.ingest_bytes(w);
+    cfg.ingest_threads = cap;
+    Hive hive(&w.corpus, cfg);
+    if (cap == 0) {
+      for (const auto& wire : w.wires) hive.ingest_bytes(wire);
     } else {
-      hive.ingest_batch(wires);
+      hive.ingest_batch(w.wires);
     }
     benchmark::DoNotOptimize(hive.stats().paths_merged);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(wires.size()));
+                          static_cast<int64_t>(w.wires.size()));
+}
+
+void BM_IngestBatch(benchmark::State& state) {
+  run_ingest(state, mixed_workload());
 }
 BENCHMARK(BM_IngestBatch)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_IngestBatchFresh(benchmark::State& state) {
+  run_ingest(state, fresh_workload());
+}
+BENCHMARK(BM_IngestBatchFresh)
+    ->Arg(0)
+    ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -354,7 +354,8 @@ void World::step_day() {
   }
 
   // 3. Let the network move, then the hive ingest everything delivered as
-  //    one batch (decode/replay fan out when hive.ingest_threads > 1).
+  //    one batch (replay and merge fan out when it misses the replay cache
+  //    often enough; Hive::kFanOutMisses).
   for (std::size_t t = 0; t < config_.ticks_per_day; ++t) net_.tick();
   std::vector<Bytes> batch;
   auto messages = net_.drain(hive_endpoint_);

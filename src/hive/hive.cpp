@@ -206,6 +206,10 @@ const Hive::ReplayCache::Slot* Hive::ReplayCache::find(
   return nullptr;
 }
 
+void Hive::ReplayCache::prefetch(const ReplayKey& key) const {
+  if (!slots.empty()) __builtin_prefetch(&slots[key.key & (slots.size() - 1)]);
+}
+
 void Hive::ReplayCache::insert(
     const ReplayKey& key,
     std::shared_ptr<const std::vector<SymDecision>> decisions,
@@ -232,42 +236,6 @@ void Hive::ReplayCache::insert(
   slots[i] = {key.key, key.check, std::move(decisions)};
 }
 
-std::shared_ptr<const std::vector<SymDecision>> Hive::replay_decisions(
-    const CorpusEntry& entry, const ReplayKey& key, const Trace* decoded,
-    const Bytes* wire, bool synchronized) {
-  {
-    std::unique_lock<std::mutex> lock(replay_mu_, std::defer_lock);
-    if (synchronized) lock.lock();
-    if (const ReplayCache::Slot* slot = replay_cache_.find(key)) {
-      ingest_stats_.replay_cache_hits++;
-      return slot->decisions;
-    }
-  }
-  // Miss: materialize the trace if stage 1 only summarized it. The summary
-  // came from a successful validation pass, so decode cannot fail here. The
-  // scratch is per-thread (stage 2 may fan out) and recycles its payload
-  // buffers across the batch's misses.
-  if (decoded == nullptr) {
-    static thread_local Trace scratch;
-    const bool ok = decode_trace_into(scratch, *wire);
-    SB_CHECK(ok);
-    decoded = &scratch;
-  }
-  const auto rep = replay_trace(entry.program, *decoded);
-  std::shared_ptr<const std::vector<SymDecision>> result;
-  if (rep.ok) {
-    auto decisions = std::make_shared<std::vector<SymDecision>>();
-    decisions->reserve(rep.decisions.size());
-    for (const auto& d : rep.decisions) decisions->push_back({d.site, d.taken});
-    result = std::move(decisions);
-  }
-  std::unique_lock<std::mutex> lock(replay_mu_, std::defer_lock);
-  if (synchronized) lock.lock();
-  ingest_stats_.replay_cache_misses++;
-  replay_cache_.insert(key, result, config_.replay_cache_capacity);
-  return result;
-}
-
 void Hive::merge_decisions(const Trace& t,
                            const std::vector<SymDecision>& decisions) {
   auto [it, inserted] = trees_.try_emplace(t.program.value, t.program);
@@ -277,9 +245,9 @@ void Hive::merge_decisions(const Trace& t,
 }
 
 ThreadPool* Hive::ingest_pool() {
-  std::size_t workers = config_.ingest_threads;
-  const std::size_t cores = std::thread::hardware_concurrency();
-  if (cores != 0) workers = std::min(workers, cores);
+  std::size_t workers = std::thread::hardware_concurrency();
+  const std::size_t cap = config_.ingest_threads;
+  if (cap != 0 && (workers == 0 || cap < workers)) workers = cap;
   if (workers <= 1) return nullptr;
   if (ingest_pool_ == nullptr) {
     ingest_pool_ = std::make_unique<ThreadPool>(workers);
@@ -291,33 +259,14 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
   SB_SPAN("hive.ingest.batch");
   ingest_stats_.batches++;
   ingest_stats_.batch_traces += wires.size();
-  ThreadPool* pool = ingest_pool();
   Timer timer;
 
-  // Stage 1 (parallel): summarize. One allocation-free validation pass per
-  // wire yields the scalar header plus the replay key; the expensive vector
-  // payloads are only decoded later, by the consumers that need them
-  // (cache-missing replay, new-bug exemplars, the gate). Inline batches
-  // skip the summary buffer and summarize lazily inside the interlude
-  // (reported under serial_seconds rather than decode_seconds).
-  const bool staged = pool != nullptr;
-  std::vector<std::optional<TraceWireSummary>> summaries;
-  if (staged) {
-    summaries.resize(wires.size());
-    parallel_for(pool, wires.size(), [&](std::size_t i) {
-      summaries[i] = summarize_trace_wire(wires[i]);
-    });
-  }
-  {
-    const double sec = timer.elapsed_seconds();
-    ingest_stats_.decode_seconds += sec;
-    static obs::SpanSite decode_site("hive.ingest.decode");
-    record_stage_span(decode_site, sec);
-  }
-  timer.reset();
-
-  // Serial interlude, in submission order: dedup, the k-anonymity gate, and
-  // bug tracking all mutate shared state and must match ingest() exactly.
+  // Serial interlude (stage 1), in submission order. One allocation-free
+  // validation pass per wire yields the scalar header plus the replay key;
+  // the expensive vector payloads are only decoded later, by the consumers
+  // that need them (cache-missing replay, new-bug exemplars, the gate).
+  // Dedup, the k-anonymity gate, and bug tracking all mutate shared state
+  // and must match ingest() exactly.
   // Traces sharing a replay key coalesce into one weighted job here: the key
   // covers every replay-relevant field, so such traces have identical
   // decision streams, outcomes, and crashes, and repeated add_path calls
@@ -327,6 +276,7 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
     const CorpusEntry* entry = nullptr;
     ReplayKey key;
     Outcome outcome = Outcome::kOk;
+    bool miss = false;         // not in the cache: stage 2 replays it
     std::uint64_t weight = 1;  // traces coalesced into this job
     std::optional<CrashInfo> crash;
     std::unique_ptr<Trace> trace;  // decoded eagerly: failures, gate releases
@@ -396,10 +346,9 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
       jobs.push_back(std::move(job));
     }
   };
-  std::optional<TraceWireSummary> inline_summary;
   for (std::size_t i = 0; i < wires.size(); ++i) {
-    const std::optional<TraceWireSummary>& summary =
-        staged ? summaries[i] : (inline_summary = summarize_trace_wire(wires[i]));
+    const std::optional<TraceWireSummary> summary =
+        summarize_trace_wire(wires[i]);
     if (!summary) {
       stats_.decode_failures++;
       continue;
@@ -461,7 +410,26 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
     job.crash = s.crash;
     jobs.push_back(std::move(job));
   }
-  summaries.clear();
+  // The new jobs probe the replay cache as it stood before the batch: a hit
+  // takes its decision stream now, a miss queues the job for stage 2. The
+  // probes are independent random reads into a table of up to 2^17 slots,
+  // so each prefetches the slot of the job kProbeAhead after it instead of
+  // stalling on every probe.
+  constexpr std::size_t kProbeAhead = 8;
+  std::vector<std::size_t> misses;  // the jobs stage 2 replays, in job order
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (i + kProbeAhead < jobs.size()) {
+      replay_cache_.prefetch(jobs[i + kProbeAhead].key);
+    }
+    Job& job = jobs[i];
+    if (const ReplayCache::Slot* slot = replay_cache_.find(job.key)) {
+      job.decisions = slot->decisions;
+      ingest_stats_.replay_cache_hits++;
+    } else {
+      job.miss = true;
+      misses.push_back(i);
+    }
+  }
   {
     const double sec = timer.elapsed_seconds();
     ingest_stats_.serial_seconds += sec;
@@ -469,15 +437,39 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
     record_stage_span(serial_site, sec);
   }
 
-  // Stage 2 (parallel): resolve decision streams, memoized. Per-trace work;
-  // the cache is the only shared state and is mutex-guarded when fanning out.
+  // Stage 2: replay the misses. A replay reads its own job, its program and
+  // its wire and writes only its job's decisions, so it needs no lock, and a
+  // batch with at least kFanOutMisses misses fans it out. The misses then
+  // enter the cache serially, in job order: which keys a generational wipe
+  // keeps, and so every later hit, never depends on the schedule.
   timer.reset();
-  const bool synchronized = pool != nullptr;
-  parallel_for(pool, jobs.size(), [&](std::size_t i) {
-    Job& job = jobs[i];
-    job.decisions = replay_decisions(*job.entry, job.key, job.trace.get(),
-                                     &wires[job.wire], synchronized);
+  const bool fan_out = misses.size() >= kFanOutMisses;
+  if (fan_out) ingest_stats_.fan_out_batches++;
+  ThreadPool* pool = fan_out ? ingest_pool() : nullptr;
+  parallel_for(pool, misses.size(), [&](std::size_t m) {
+    Job& job = jobs[misses[m]];
+    // A job stage 1 only summarized is decoded into a per-thread scratch
+    // that recycles its payload buffers across the batch's misses. The
+    // summary came from a successful validation pass, so decode cannot fail.
+    const Trace* decoded = job.trace.get();
+    if (decoded == nullptr) {
+      static thread_local Trace scratch;
+      const bool ok = decode_trace_into(scratch, wires[job.wire]);
+      SB_CHECK(ok);
+      decoded = &scratch;
+    }
+    const auto rep = replay_trace(job.entry->program, *decoded);
+    if (!rep.ok) return;  // null decisions: a failing replay
+    auto decisions = std::make_shared<std::vector<SymDecision>>();
+    decisions->reserve(rep.decisions.size());
+    for (const auto& d : rep.decisions) decisions->push_back({d.site, d.taken});
+    job.decisions = std::move(decisions);
   });
+  for (const std::size_t i : misses) {
+    replay_cache_.insert(jobs[i].key, jobs[i].decisions,
+                         config_.replay_cache_capacity);
+  }
+  ingest_stats_.replay_cache_misses += misses.size();
   {
     const double sec = timer.elapsed_seconds();
     ingest_stats_.replay_seconds += sec;
@@ -489,8 +481,14 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
   // merge needs no locks, and within a program the submission order is
   // preserved, so the trees are byte-identical to serial ingestion.
   timer.reset();
+  struct Group {
+    std::vector<std::size_t> jobs;
+    std::size_t miss_jobs = 0;       // bounds the new leaves
+    std::size_t miss_decisions = 0;  // bounds the new nodes
+  };
   std::vector<std::uint64_t> programs;  // first-seen order
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
+  std::unordered_map<std::uint64_t, Group> groups;
+  std::size_t programs_with_misses = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (jobs[i].decisions == nullptr) {
       stats_.replay_failures += jobs[i].weight;
@@ -499,23 +497,44 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
     const std::uint64_t program = jobs[i].entry->program.id.value;
     auto [it, inserted] = groups.try_emplace(program);
     if (inserted) programs.push_back(program);
-    it->second.push_back(i);
+    Group& group = it->second;
+    group.jobs.push_back(i);
+    if (jobs[i].miss) {
+      if (group.miss_jobs++ == 0) programs_with_misses++;
+      group.miss_decisions += jobs[i].decisions->size();
+    }
   }
   // Trees are created serially so the merge tasks never mutate the map.
   for (const std::uint64_t program : programs) {
     trees_.try_emplace(program, ProgramId(program));
+  }
+  // The merge fans out with the replay, when at least two trees take fresh
+  // paths (a hit's path is already in its tree and only bumps counters).
+  // Before it does, this thread reserves each such tree for the batch: a
+  // miss pastes at most its decisions as nodes and pushes at most one
+  // overflow edge, outcome and crash record. A worker that grew a tree
+  // itself would allocate the grown arrays in its own malloc arena, and
+  // the arenas' slack would raise the hive's peak memory.
+  ThreadPool* merge_pool = programs_with_misses >= 2 ? pool : nullptr;
+  if (merge_pool != nullptr) {
+    for (const std::uint64_t program : programs) {
+      const Group& group = groups.find(program)->second;
+      if (group.miss_jobs == 0) continue;
+      trees_.find(program)->second.reserve(group.miss_decisions,
+                                           group.miss_jobs);
+    }
   }
   struct MergeCounts {
     std::uint64_t merged = 0;
     std::uint64_t fresh = 0;
   };
   std::vector<MergeCounts> counts(programs.size());
-  parallel_for(pool, programs.size(), [&](std::size_t k) {
+  parallel_for(merge_pool, programs.size(), [&](std::size_t k) {
     ExecTree& tree = trees_.find(programs[k])->second;
     // Jobs are already coalesced per replay key; within a program they sit
     // in first-occurrence order, so weighted merges build a tree
     // byte-identical to merging every trace serially in submission order.
-    for (const std::size_t i : groups.find(programs[k])->second) {
+    for (const std::size_t i : groups.find(programs[k])->second.jobs) {
       const Job& job = jobs[i];
       const auto merge =
           tree.add_path(*job.decisions, job.outcome, job.crash, job.weight);
@@ -610,6 +629,7 @@ ProofCertificate Hive::attempt_proof(ProgramId program, Property property) {
   auto [it, inserted] = trees_.try_emplace(program.value, program);
   ProofCertificate cert =
       prover_.attempt(*entry, it->second, property, config_.proof_budget);
+  cert.day_issued = latest_day_seen_;  // the day process() stamps on fixes
   if (cert.publishable() && !holds_unrevoked(cert)) {
     proofs_.push_back({cert, false});
   }
@@ -751,11 +771,11 @@ std::vector<std::uint64_t> sorted_map_keys(const Map& m) {
 }
 
 // Leads every hive state, and changes whenever the layout does (3: the
-// proof stats and certificates lost their solver-cache counters). An older
-// binary's state starts with another tag, or with the traces_ingested count
-// before tags existed, which never reaches this value, so its layout is
-// refused rather than misread.
-constexpr std::uint64_t kStateLayoutTag = 0x48495645'00000003ULL;  // "HIVE" 3
+// proof stats and certificates lost their solver-cache counters; 4: the
+// ingest stats gained fan_out_batches). An older binary's state starts with
+// another tag, or with the traces_ingested count before tags existed, which
+// never reaches this value, so its layout is refused rather than misread.
+constexpr std::uint64_t kStateLayoutTag = 0x48495645'00000004ULL;  // "HIVE" 4
 
 }  // namespace
 

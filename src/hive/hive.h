@@ -14,21 +14,23 @@
 // schedule-dependent assertion bugs and low-scoring candidates land in the
 // repair lab for a human decision (paper §3.3).
 //
-// ingest_batch() runs the same pipeline staged: (1) decode, (2) replay to
-// decision streams, (3) per-program tree merge. Stages 1–2 are pure
-// per-trace work and fan out on a thread pool when `ingest_threads > 1`;
+// ingest_batch() runs the same pipeline staged: (1) a serial interlude that
+// summarizes each wire, runs the order-dependent steps and resolves replay
+// cache hits, (2) replay of the cache misses, (3) per-program tree merge.
+// Batch replay is memoized: traces with identical replay-relevant content
+// (see replay_signature) skip the interpreter (replay is deterministic, so a
+// cached decision stream is exact). A batch with enough misses fans stages
+// 2 and 3 out on a thread pool, others run inline: replay touches no shared
+// state (misses enter the cache serially afterwards, in job order), and
 // stage 3 groups traces by program so every ExecTree keeps a single writer
-// and needs no locking. Batch replay is memoized: traces with identical
-// replay-relevant content (see replay_signature) skip the interpreter
-// (replay is deterministic, so a cached decision stream is exact). The
-// batch path is behaviorally identical to serial ingestion — same trees,
-// same stats — regardless of thread count (see tests/ingest_batch_test.cpp).
+// and needs no locking. The batch path is behaviorally identical to serial
+// ingestion — same trees, same stats — and its counters are identical for
+// every worker count (see tests/ingest_batch_test.cpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -59,8 +61,10 @@ struct HiveConfig {
   std::uint64_t recurrence_grace_days = 2;
   std::size_t k_anonymity = 1;  // 1 = gate disabled
   std::uint64_t seed = 0x417e;
-  // Worker threads for the decode and replay stages of ingest_batch();
-  // <= 1 runs the batch pipeline inline on the caller (identical results).
+  // Cap on the worker threads of ingest_batch()'s pool (0: no cap). The pool
+  // has min(cap, hardware concurrency) workers and runs only batches with
+  // enough replay misses to pay for a fan-out (Hive::kFanOutMisses); a cap
+  // of 1 keeps every batch inline. Results are identical either way.
   std::size_t ingest_threads = 0;
   // Replay-memoization entries kept before the cache resets (generational
   // eviction: O(1) amortized, good enough for streaming trace workloads).
@@ -78,7 +82,7 @@ struct HiveConfig {
         field(&C::auto_fix_threshold), field(&C::recurrence_grace_days),
         field(&C::k_anonymity), field(&C::seed),
         exempt(&C::ingest_threads,
-               "results are identical for every thread count (pinned by "
+               "results are identical for every worker cap (pinned by "
                "IngestBatch.CounterSnapshotsByteIdenticalAcrossIngestThreads)"),
         exempt(&C::replay_cache_capacity,
                "the replay cache is not persisted: a resumed hive starts it "
@@ -137,6 +141,11 @@ struct IngestStats {
   std::uint64_t batch_traces = 0;         // wires handed to ingest_batch
   std::uint64_t replay_cache_hits = 0;    // interpreter runs skipped
   std::uint64_t replay_cache_misses = 0;  // interpreter runs performed
+  // Batches whose misses met the fan-out rule (Hive::kFanOutMisses), whether
+  // or not the worker cap let them run on more than one thread.
+  std::uint64_t fan_out_batches = 0;
+  // Always 0: wires are summarized inside the serial interlude. Kept only
+  // because perfbench still reads it for hive.ingest.decode_s.
   double decode_seconds = 0.0;
   double serial_seconds = 0.0;  // the unparallelizable interlude (Amdahl term)
   double replay_seconds = 0.0;
@@ -160,6 +169,7 @@ struct IngestStats {
         field(&S::batches), field(&S::batch_traces),
         field(&S::replay_cache_hits, "hive.replay.cache_hits_total"),
         field(&S::replay_cache_misses, "hive.replay.cache_misses_total"),
+        field(&S::fan_out_batches, "hive.ingest.fan_out_batches_total"),
         field(&S::decode_seconds), field(&S::serial_seconds),
         field(&S::replay_seconds), field(&S::merge_seconds)};
   }
@@ -175,11 +185,21 @@ class Hive {
   void ingest(Trace t);
   void ingest_sampled(const SampledTrace& t);
 
-  // Ingests a batch of encoded traces through the staged pipeline (decode ->
-  // replay -> per-program merge), parallelized on `ingest_threads` workers.
-  // Produces exactly the same trees and HiveStats as calling ingest_bytes()
-  // on each wire in order.
+  // Ingests a batch of encoded traces through the staged pipeline (serial
+  // interlude -> replay of cache misses -> per-program merge). A batch with
+  // at least kFanOutMisses misses fans replay and merge out on the ingest
+  // pool; smaller ones run inline. Produces exactly the same trees and
+  // HiveStats as calling ingest_bytes() on each wire in order.
   void ingest_batch(const std::vector<Bytes>& wires);
+
+  // The fan-out rule's threshold: replay misses in one batch. One
+  // parallel_for on a 4-worker pool costs about 50 us at p50 and 90 us at
+  // p99, and a batch that fans out pays two (replay, then merge): ~180 us at
+  // p99. A miss costs about 5 us of replay (2 us) and fresh merge (3 us); at
+  // the 2x speedup 4 workers measure on that work, each miss spread saves
+  // ~2.5 us, so the fan-out breaks even near 70 misses. Twice that keeps a
+  // batch that fans out clear of the overhead's tail.
+  static constexpr std::size_t kFanOutMisses = 128;
 
   // --- analysis & synthesis ---------------------------------------------------
   // Processes newly recorded bugs; returns fixes approved for distribution.
@@ -345,20 +365,12 @@ class Hive {
   // fix-recurrence monitoring, new-bug stats, schedule-dependent marking.
   void note_bug_sighting(Bug* bug, const CorpusEntry& entry,
                          std::uint64_t day);
-  // Resolves `key` through the memoization cache; returns the decision
-  // stream, or nullptr when replay fails. On a miss the trace is replayed —
-  // from `decoded` when the caller already has it, otherwise by decoding
-  // `wire` (deferred decode: cache hits never materialize the vectors).
-  // With `synchronized` the cache is mutex-guarded (stage 2 fans out);
-  // inline batches skip the locks.
-  std::shared_ptr<const std::vector<SymDecision>> replay_decisions(
-      const CorpusEntry& entry, const ReplayKey& key, const Trace* decoded,
-      const Bytes* wire, bool synchronized);
   void merge_decisions(const Trace& t,
                        const std::vector<SymDecision>& decisions);
-  // Null when the effective worker count is <= 1. ingest_threads is capped
-  // at the hardware concurrency: extra workers beyond physical cores only
-  // add context switches on the pure-CPU decode/replay stages.
+  // The pool a fanned-out batch runs on, started on first use: min(cap,
+  // hardware concurrency) workers, where ingest_threads is the cap (0: none).
+  // Null when that leaves one worker or fewer. Workers beyond the cores
+  // would only add context switches on the pure-CPU replay/merge stages.
   ThreadPool* ingest_pool();
   // Pushes the deltas of stats_ / ingest_stats_ / proof_stats_ accumulated
   // since the last publication into the process-wide registry. Called at
@@ -406,7 +418,8 @@ class Hive {
 
   // Replay memoization: replay_key() pairs a splitmix-chained `key` with an
   // independently seeded check hash; hits verify both. A null decisions
-  // pointer caches a failing replay. Guarded by replay_mu_ when stage 2 runs parallel.
+  // pointer caches a failing replay. Only the ingesting thread touches it:
+  // the serial interlude probes it, and misses enter it after stage 2.
   //
   // Open-addressed and insert-only, cleared wholesale at capacity
   // (generational eviction). Replay keys are pre-mixed, so the low bits
@@ -421,6 +434,8 @@ class Hive {
     // Hit: the slot for `key` with a matching check; null otherwise (a
     // matching key with a stale check reads as a miss; insert replaces it).
     const Slot* find(const ReplayKey& key) const;
+    // Starts loading the first slot find(key) reads.
+    void prefetch(const ReplayKey& key) const;
     void insert(const ReplayKey& key,
                 std::shared_ptr<const std::vector<SymDecision>> decisions,
                 std::size_t capacity);
@@ -428,7 +443,6 @@ class Hive {
     std::vector<Slot> slots;  // always a power of two (or empty)
     std::size_t count = 0;
   };
-  std::mutex replay_mu_;
   ReplayCache replay_cache_;
   std::unique_ptr<ThreadPool> ingest_pool_;  // lazily created
 

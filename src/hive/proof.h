@@ -64,6 +64,7 @@ struct ProofCertificate {
   // engine spawned.
   std::uint64_t solver_calls = 0;
 
+  // The newest trace day the issuing hive had seen (Hive::attempt_proof).
   std::uint64_t day_issued = 0;
 
   // A certificate is publishable iff the tree was completed AND no

@@ -55,12 +55,13 @@ std::string hive_status_report(Hive& hive) {
   const IngestStats& ing = hive.ingest_stats();
   out += line(
       "pipeline: %llu batches (%llu traces), replay cache %llu hit / %llu "
-      "miss (%.0f%%)",
+      "miss (%.0f%%), %llu fanned out",
       static_cast<unsigned long long>(ing.batches),
       static_cast<unsigned long long>(ing.batch_traces),
       static_cast<unsigned long long>(ing.replay_cache_hits),
       static_cast<unsigned long long>(ing.replay_cache_misses),
-      ing.cache_hit_rate() * 100.0);
+      ing.cache_hit_rate() * 100.0,
+      static_cast<unsigned long long>(ing.fan_out_batches));
   out += line(
       "fixing: %llu bugs found, %llu fixes approved, %llu repair-lab "
       "entries; telemetry: %llu patched traces, %llu recurrences, %llu "

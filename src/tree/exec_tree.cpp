@@ -6,6 +6,15 @@
 
 namespace softborg {
 
+namespace {
+// Room for `need` more elements, growing at least 2x when it grows at all.
+template <typename T>
+void reserve_more(std::vector<T>& v, std::size_t need) {
+  if (v.size() + need <= v.capacity()) return;
+  v.reserve(std::max(2 * v.capacity(), v.size() + need));
+}
+}  // namespace
+
 std::uint32_t ExecTree::push_node() {
   const std::uint32_t id = static_cast<std::uint32_t>(visits_.size());
   visits_.push_back(0);
@@ -20,6 +29,23 @@ std::uint32_t ExecTree::push_node() {
   sub_nodes_.push_back(1);
   sub_leaves_.push_back(0);
   return id;
+}
+
+void ExecTree::reserve(std::size_t nodes, std::size_t paths) {
+  reserve_more(visits_, nodes);
+  reserve_more(parent_, nodes);
+  reserve_more(parent_site_, nodes);
+  reserve_more(parent_dir_, nodes);
+  reserve_more(edges_, nodes);
+  reserve_more(infeasible_head_, nodes);
+  reserve_more(outcome_head_, nodes);
+  reserve_more(crash_, nodes);
+  reserve_more(open_, nodes);
+  reserve_more(sub_nodes_, nodes);
+  reserve_more(sub_leaves_, nodes);
+  reserve_more(edge_pool_, paths);
+  reserve_more(outcomes_, paths);
+  reserve_more(crash_pool_, paths);
 }
 
 std::uint32_t ExecTree::find_child(std::uint32_t node, std::uint32_t site,

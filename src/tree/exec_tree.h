@@ -75,6 +75,15 @@ class ExecTree {
                        const std::optional<CrashInfo>& crash = std::nullopt,
                        std::uint64_t weight = 1);
 
+  // Makes room for `nodes` more nodes and `paths` more add_path calls (each
+  // pushes at most one overflow edge cell, outcome link and crash record).
+  // Grows each array geometrically, to max(2 x capacity, size + need), so
+  // capacity never exceeds what growth by push_back would reach. Changes no
+  // content: a reserved tree fed the same paths encodes identically. The
+  // batch pipeline reserves on the ingesting thread before fanning merges
+  // out, so no worker thread reallocates a tree.
+  void reserve(std::size_t nodes, std::size_t paths);
+
   // Marks direction `dir` at the node reached by `prefix` as proven
   // infeasible (symbolic gap closure). Returns false if the prefix does not
   // lead to a node that branches on `site`. `node_hint` (MergeResult::leaf

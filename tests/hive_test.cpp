@@ -822,6 +822,32 @@ TEST_F(HiveTest, ReproofOfAnUnchangedProgramPublishesOnce) {
   EXPECT_EQ(hive_.valid_proof_count(), 1u);
 }
 
+TEST_F(HiveTest, ProofCarriesTheDayItWasIssued) {
+  // magic_lookup's two paths complete its tree; the traces arrive on days 3
+  // and 7, so a proof after them is issued on day 7, and a snapshot keeps
+  // both the certificate's day and the day the next proof is stamped with.
+  const auto& lookup = entry("magic_lookup");
+  hive_.ingest(on_day(failing_trace(lookup, {7}, 1), 1, 3));
+  hive_.ingest(on_day(failing_trace(lookup, {4242}, 2), 2, 7));
+  const ProofCertificate cert =
+      hive_.attempt_proof(lookup.program.id, Property::kNeverDeadlocks);
+  ASSERT_TRUE(cert.publishable());
+  EXPECT_EQ(cert.day_issued, 7u);
+  ASSERT_EQ(hive_.published_proofs().size(), 1u);
+  EXPECT_EQ(hive_.published_proofs()[0].certificate.day_issued, 7u);
+
+  Bytes state;
+  hive_.save_state(state);
+  Hive restored(&corpus_);
+  StateReader r(state);
+  ASSERT_TRUE(restored.load_state(r));
+  ASSERT_EQ(restored.published_proofs().size(), 1u);
+  EXPECT_EQ(restored.published_proofs()[0].certificate.day_issued, 7u);
+  EXPECT_EQ(restored.attempt_proof(lookup.program.id, Property::kNeverCrashes)
+                .day_issued,
+            7u);
+}
+
 TEST_F(HiveTest, KAnonymityGateHoldsRarePaths) {
   HiveConfig cfg;
   cfg.k_anonymity = 3;

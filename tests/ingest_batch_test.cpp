@@ -40,6 +40,54 @@ std::vector<Bytes> make_workload(const std::vector<CorpusEntry>& corpus,
   return wires;
 }
 
+// Fresh traffic: traces of path-rich make_config_space(12..14) programs on
+// random inputs, so nearly every trace is a new replay key and a batch of a
+// few hundred misses the cache often enough to fan out. Every batch after
+// the first also re-sends, under new ids, every third trace of the batch
+// before it: whether those copies hit depends on which keys the cache kept.
+struct FreshTraffic {
+  std::vector<CorpusEntry> corpus;
+  std::vector<std::vector<Bytes>> batches;
+};
+
+FreshTraffic make_fresh_traffic(std::size_t batches, std::size_t per_batch,
+                                std::uint64_t seed) {
+  FreshTraffic out;
+  for (unsigned k = 12; k <= 14; ++k) {
+    out.corpus.push_back(make_config_space(k));
+  }
+  Rng rng(seed);
+  std::uint64_t next_id = 1;
+  std::vector<Trace> previous;
+  for (std::uint64_t day = 1; day <= batches; ++day) {
+    std::vector<Trace> fresh;
+    std::vector<Bytes> batch;
+    for (std::size_t i = 0; i < per_batch; ++i) {
+      const CorpusEntry& entry = out.corpus[rng.next_below(out.corpus.size())];
+      ExecConfig cfg;
+      for (const auto& d : entry.domains) {
+        cfg.inputs.push_back(rng.next_in(d.lo, d.hi));
+      }
+      cfg.seed = next_id;
+      Trace t = execute(entry.program, cfg).trace;
+      t.id = TraceId(next_id++);
+      t.day = day;
+      batch.push_back(encode_trace(t));
+      fresh.push_back(std::move(t));
+    }
+    for (std::size_t i = 0; i < previous.size(); i += 3) {
+      Trace copy = previous[i];
+      copy.id = TraceId(next_id++);
+      copy.day = day;
+      batch.push_back(encode_trace(copy));
+    }
+    std::shuffle(batch.begin(), batch.end(), rng);
+    out.batches.push_back(std::move(batch));
+    previous = std::move(fresh);
+  }
+  return out;
+}
+
 void expect_identical(Hive& serial, Hive& batched,
                       const std::vector<CorpusEntry>& corpus) {
   EXPECT_TRUE(serial.stats() == batched.stats());
@@ -74,11 +122,70 @@ TEST(IngestBatch, MatchesSerialIngestionOnFourThreads) {
   expect_identical(serial, batched, corpus);
 }
 
+TEST(IngestBatch, FreshTrafficFansOutAndMatchesSerial) {
+  // Every batch misses the cache well past the rule, so a capped-at-4 hive
+  // replays and merges on its pool; trees and stats must equal serial
+  // ingestion, and every ingest count must equal an inline (cap 1) hive's.
+  const FreshTraffic traffic = make_fresh_traffic(3, 400, 23);
+  Hive serial(&traffic.corpus);
+  HiveConfig pooled_cfg;
+  pooled_cfg.ingest_threads = 4;
+  Hive pooled(&traffic.corpus, pooled_cfg);
+  HiveConfig inline_cfg;
+  inline_cfg.ingest_threads = 1;
+  Hive inline_hive(&traffic.corpus, inline_cfg);
+  for (const auto& batch : traffic.batches) {
+    for (const auto& w : batch) serial.ingest_bytes(w);
+    pooled.ingest_batch(batch);
+    inline_hive.ingest_batch(batch);
+  }
+  expect_identical(serial, pooled, traffic.corpus);
+  expect_identical(serial, inline_hive, traffic.corpus);
+  const IngestStats& a = pooled.ingest_stats();
+  const IngestStats& b = inline_hive.ingest_stats();
+  EXPECT_EQ(a.fan_out_batches, traffic.batches.size());
+  EXPECT_GT(a.replay_cache_hits, 0u);  // the copies of earlier traces
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.batch_traces, b.batch_traces);
+  EXPECT_EQ(a.replay_cache_hits, b.replay_cache_hits);
+  EXPECT_EQ(a.replay_cache_misses, b.replay_cache_misses);
+  EXPECT_EQ(a.fan_out_batches, b.fan_out_batches);
+  EXPECT_EQ(a.decode_seconds, 0.0);
+}
+
+TEST(IngestBatch, ManyWiresFewMissesStayInline) {
+  // fleet_loop's shape: thousands of wires per batch that repeat a few dozen
+  // executions. Coalescing and the cache leave a few dozen misses, below
+  // the rule whatever the wire count, so no batch fans out.
+  const auto corpus = standard_corpus();
+  const auto distinct = make_workload(corpus, 40, 5);
+  HiveConfig cfg;
+  cfg.ingest_threads = 4;
+  Hive hive(&corpus, cfg);
+  std::uint64_t next_id = 1;
+  for (int day = 0; day < 2; ++day) {
+    std::vector<Bytes> wires;
+    for (std::size_t i = 0; i < 2'500; ++i) {
+      auto t = decode_trace(distinct[i % distinct.size()]);
+      ASSERT_TRUE(t.has_value());
+      t->id = TraceId(next_id++);
+      wires.push_back(encode_trace(*t));
+    }
+    hive.ingest_batch(wires);
+  }
+  const IngestStats& is = hive.ingest_stats();
+  EXPECT_EQ(is.batch_traces, 5'000u);
+  EXPECT_LE(is.replay_cache_misses, distinct.size());
+  EXPECT_EQ(is.fan_out_batches, 0u);
+}
+
 TEST(IngestBatch, InlineBatchMatchesSerialToo) {
   const auto corpus = standard_corpus();
   const auto wires = make_workload(corpus, 200, 7);
+  HiveConfig cfg;
+  cfg.ingest_threads = 1;  // a cap of 1: every batch runs inline
   Hive serial(&corpus);
-  Hive batched(&corpus);  // ingest_threads = 0: inline staged pipeline
+  Hive batched(&corpus, cfg);
   for (const auto& w : wires) serial.ingest_bytes(w);
   batched.ingest_batch(wires);
   expect_identical(serial, batched, corpus);
@@ -125,7 +232,7 @@ TEST(IngestBatch, ReplayCacheSkipsInterpreterForIdenticalStreams) {
     t.id = TraceId(i);  // distinct ids: dedup passes, content identical
     wires.push_back(encode_trace(t));
   }
-  Hive hive(&corpus);  // inline: cache counters are exact
+  Hive hive(&corpus);
   hive.ingest_batch(wires);
   EXPECT_EQ(hive.stats().traces_ingested, 64u);
   EXPECT_EQ(hive.ingest_stats().replay_cache_misses, 1u);
@@ -156,32 +263,52 @@ TEST(IngestBatch, CachedReplayEqualsFreshReplay) {
 TEST(IngestBatch, CounterSnapshotsByteIdenticalAcrossIngestThreads) {
   // The observability bar: the registry's counter surface — every
   // count-type metric the codec, interpreter and hive record while a hive
-  // ingests — renders byte-identically for any ingest_threads. Timing
+  // ingests — renders byte-identically for any ingest_threads cap. Timing
   // histograms and gauges are outside this surface (counters_text renders
   // counters alone).
+  using Batches = std::vector<std::vector<Bytes>>;
+  const auto counters_per_cap = [](const std::vector<CorpusEntry>& corpus,
+                                   const Batches& batches, HiveConfig cfg) {
+    std::vector<std::string> texts;
+    for (const std::size_t cap : {1u, 2u, 8u}) {
+      cfg.ingest_threads = cap;
+      obs::MetricsRegistry::global().rebaseline();
+      Hive hive(&corpus, cfg);
+      for (const auto& batch : batches) hive.ingest_batch(batch);
+      texts.push_back(
+          obs::MetricsRegistry::global().delta_snapshot().counters_text());
+    }
+    return texts;
+  };
+
   const auto corpus = standard_corpus();
   auto wires = make_workload(corpus, 256, 13);
   wires.push_back(wires[5]);        // duplicate
   wires.push_back({0xde, 0xad});    // junk bytes
   const std::size_t half = wires.size() / 2;
-  std::vector<std::string> counter_texts;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    HiveConfig cfg;
-    cfg.ingest_threads = threads;
-    obs::MetricsRegistry::global().rebaseline();
-    Hive hive(&corpus, cfg);
-    hive.ingest_batch({wires.begin(), wires.begin() + half});
-    hive.ingest_batch({wires.begin() + half, wires.end()});
-    counter_texts.push_back(
-        obs::MetricsRegistry::global().delta_snapshot().counters_text());
-  }
-  ASSERT_EQ(counter_texts.size(), 3u);
-  EXPECT_NE(counter_texts[0].find("hive.traces_ingested_total"),
-            std::string::npos);
-  EXPECT_NE(counter_texts[0].find("hive.duplicates_dropped_total"),
-            std::string::npos);
-  EXPECT_EQ(counter_texts[0], counter_texts[1]);
-  EXPECT_EQ(counter_texts[0], counter_texts[2]);
+  const Batches halves = {{wires.begin(), wires.begin() + half},
+                          {wires.begin() + half, wires.end()}};
+  const auto texts = counters_per_cap(corpus, halves, HiveConfig{});
+  ASSERT_EQ(texts.size(), 3u);
+  EXPECT_NE(texts[0].find("hive.traces_ingested_total"), std::string::npos);
+  EXPECT_NE(texts[0].find("hive.duplicates_dropped_total"), std::string::npos);
+  EXPECT_EQ(texts[0], texts[1]);
+  EXPECT_EQ(texts[0], texts[2]);
+
+  // Fresh traffic past the fan-out rule into a cache that wipes mid-batch:
+  // which keys survive a wipe decides whether later copies hit, so the hit
+  // and miss counters hold only if misses enter the cache in job order.
+  const FreshTraffic traffic = make_fresh_traffic(4, 1'500, 31);
+  HiveConfig small_cache;
+  small_cache.replay_cache_capacity = 700;
+  const auto fresh = counters_per_cap(traffic.corpus, traffic.batches,
+                                      small_cache);
+  ASSERT_EQ(fresh.size(), 3u);
+  EXPECT_NE(fresh[0].find("hive.ingest.fan_out_batches_total 4"),
+            std::string::npos)
+      << fresh[0];
+  EXPECT_EQ(fresh[0], fresh[1]);
+  EXPECT_EQ(fresh[0], fresh[2]);
 }
 
 // Forty days of traffic, one batch per day: each day's fresh traces plus

@@ -211,16 +211,16 @@ TEST_F(ResumeTest, PreviousHiveLayoutTagColdStarts) {
   const auto good = store::read_snapshot(dir_);
   ASSERT_TRUE(good.has_value());
 
-  // Layout 2 carried solver-cache counters in the proof stats and in every
-  // certificate. A hive part under that tag must be refused, not misread.
+  // Layout 3 had no fan_out_batches in the ingest stats. A hive part under
+  // that tag must be refused, not misread.
   std::vector<store::Part> parts;
   for (const auto& [name, payload] : good->parts) {
     Bytes p = payload;
     if (name == "hive") {
       StateReader r(p);
-      ASSERT_EQ(r.u64(), 0x48495645'00000003ULL);
+      ASSERT_EQ(r.u64(), 0x48495645'00000004ULL);
       Bytes old_tag;
-      put_varint(old_tag, 0x48495645'00000002ULL);
+      put_varint(old_tag, 0x48495645'00000003ULL);
       ASSERT_EQ(old_tag.size(), r.pos());
       std::copy(old_tag.begin(), old_tag.end(), p.begin());
     }

@@ -52,6 +52,7 @@ Expected hive_counters(const HiveStats& s, const IngestStats& i) {
       {"hive.bugs_reopened_total", s.bugs_reopened},
       {"hive.replay.cache_hits_total", i.replay_cache_hits},
       {"hive.replay.cache_misses_total", i.replay_cache_misses},
+      {"hive.ingest.fan_out_batches_total", i.fan_out_batches},
   };
 }
 
@@ -195,6 +196,7 @@ TEST(TelemetryNames, PublishedCountersAreNamedAndCountTheirStats) {
       ingest_sum.replay_cache_hits += w->hive().ingest_stats().replay_cache_hits;
       ingest_sum.replay_cache_misses +=
           w->hive().ingest_stats().replay_cache_misses;
+      ingest_sum.fan_out_batches += w->hive().ingest_stats().fan_out_batches;
     }
     ASSERT_EQ(ingested, wires.size());
     expect_deltas(delta, hive_counters(hive_sum, ingest_sum));
@@ -241,6 +243,7 @@ TEST(TelemetryNames, PublishedCountersAreNamedAndCountTheirStats) {
       "hive.fix_recurrences_total",
       "hive.fixes_approved_total",
       "hive.gated_traces_total",
+      "hive.ingest.fan_out_batches_total",
       "hive.patched_traces_skipped_total",
       "hive.proofs_revoked_total",
       "hive.repair_lab_entries_total",

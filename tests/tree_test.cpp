@@ -309,11 +309,15 @@ TEST(ExecTree, DeepPathCompletesUnderFullGapClosure) {
 TEST(ExecTree, RandomTrieIncrementalAggregatesMatchScratchRebuild) {
   // Grow a ~10k-node random trie with interleaved gap closures; the
   // incrementally bubbled aggregates must agree exactly with the
-  // from-scratch rebuild a codec round-trip performs.
+  // from-scratch rebuild a codec round-trip performs. A twin tree fed the
+  // same mutations, with room reserved ahead of every batch of 64 paths (as
+  // ingest_batch does before a pooled merge), must come out identical.
   ExecTree tree(ProgramId(7));
+  ExecTree reserved(ProgramId(7));
   Rng rng(21);
   std::vector<std::vector<SymDecision>> paths;
   while (tree.num_nodes() < 10'000) {
+    if (paths.size() % 64 == 0) reserved.reserve(64 * 24, 64);
     std::vector<SymDecision> path;
     const std::size_t len = 1 + rng.next_below(24);
     for (std::size_t d = 0; d < len; ++d) {
@@ -322,11 +326,13 @@ TEST(ExecTree, RandomTrieIncrementalAggregatesMatchScratchRebuild) {
     }
     const Outcome outcome =
         rng.next_bool(0.1) ? Outcome::kCrash : Outcome::kOk;
-    tree.add_path(path, outcome,
-                  outcome == Outcome::kCrash
-                      ? std::optional<CrashInfo>(
-                            CrashInfo{CrashKind::kExplicitAbort, 9, 1})
-                      : std::nullopt);
+    const std::optional<CrashInfo> crash =
+        outcome == Outcome::kCrash
+            ? std::optional<CrashInfo>(
+                  CrashInfo{CrashKind::kExplicitAbort, 9, 1})
+            : std::nullopt;
+    tree.add_path(path, outcome, crash);
+    reserved.add_path(path, outcome, crash);
     paths.push_back(std::move(path));
     if (rng.next_bool(0.25)) {
       const auto gaps = tree.frontier(4);
@@ -334,9 +340,14 @@ TEST(ExecTree, RandomTrieIncrementalAggregatesMatchScratchRebuild) {
         const auto& f = gaps[rng.next_below(gaps.size())];
         EXPECT_TRUE(tree.mark_infeasible(f.prefix, f.site, f.direction,
                                          f.node));
+        EXPECT_TRUE(reserved.mark_infeasible(f.prefix, f.site, f.direction,
+                                             f.node));
       }
     }
   }
+  EXPECT_TRUE(reserved == tree);
+  EXPECT_EQ(reserved.encode(), tree.encode());
+  EXPECT_EQ(reserved.open_frontiers(), tree.open_frontiers());
 
   const auto scratch = ExecTree::decode(tree.encode());
   ASSERT_TRUE(scratch.has_value());
