@@ -6,8 +6,7 @@
 // convention is one record per measurement:
 //
 //   { "bench": "<name>",
-//     "meta": { "git": "<describe>", "dispatch": "goto|switch",
-//               "threads": 8 },
+//     "meta": { "git": "<describe>", "threads": 8 },
 //     "results": [
 //       { "workload": "...", "metric": "...", "value": 1.23,
 //         "baseline": 4.56 },   // "baseline" only when a comparison exists
@@ -15,10 +14,8 @@
 //
 // The meta block pins what produced the numbers: the source revision
 // (SOFTBORG_GIT_DESCRIBE, stamped by bench/CMakeLists.txt at configure
-// time), the MiniVM dispatch flavor (SOFTBORG_DISPATCH_NAME, from the
-// SOFTBORG_DISPATCH option), and the host's hardware thread count — the
-// three axes along which archived bench numbers are otherwise
-// incomparable.
+// time) and the host's hardware thread count — the two axes along which
+// archived bench numbers are otherwise incomparable.
 //
 // The flag is stripped from argv before the writer returns, so argument
 // parsers that reject unknown flags (google-benchmark's Initialize) never
@@ -33,9 +30,6 @@
 
 #ifndef SOFTBORG_GIT_DESCRIBE
 #define SOFTBORG_GIT_DESCRIBE "unknown"
-#endif
-#ifndef SOFTBORG_DISPATCH_NAME
-#define SOFTBORG_DISPATCH_NAME "unknown"
 #endif
 
 namespace softborg {
@@ -83,10 +77,8 @@ class BenchJsonWriter {
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", escape(name_).c_str());
     std::fprintf(f,
-                 "  \"meta\": {\"git\": \"%s\", \"dispatch\": \"%s\", "
-                 "\"threads\": %u},\n",
+                 "  \"meta\": {\"git\": \"%s\", \"threads\": %u},\n",
                  escape(SOFTBORG_GIT_DESCRIBE).c_str(),
-                 escape(SOFTBORG_DISPATCH_NAME).c_str(),
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"results\": [");
     for (std::size_t i = 0; i < results_.size(); ++i) {

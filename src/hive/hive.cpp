@@ -4,11 +4,13 @@
 #include <bit>
 #include <optional>
 #include <thread>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "hive/coop.h"
+#include "minivm/decode.h"
 #include "minivm/replay.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -121,7 +123,7 @@ void Hive::ingest_released(Trace t) {
   // The single-trace path replays directly; memoization lives in the batch
   // pipeline (ingest_batch), where repeated decision streams are common
   // enough to pay for the signature hashing.
-  const auto rep = replay_trace(entry->program, t);
+  const auto rep = replay_trace(entry->program, replay_stream(*entry), t);
   if (!rep.ok) {
     stats_.replay_failures++;
     return;
@@ -236,6 +238,13 @@ void Hive::ReplayCache::insert(
   slots[i] = {key.key, key.check, std::move(decisions)};
 }
 
+const DecodedProgram& Hive::replay_stream(const CorpusEntry& entry) {
+  std::shared_ptr<const DecodedProgram>& held =
+      replay_streams_[entry.program.id.value];
+  if (held == nullptr) held = predecode_cached(entry.program, nullptr);
+  return *held;
+}
+
 void Hive::merge_decisions(const Trace& t,
                            const std::vector<SymDecision>& decisions) {
   auto [it, inserted] = trees_.try_emplace(t.program.value, t.program);
@@ -277,6 +286,7 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
     ReplayKey key;
     Outcome outcome = Outcome::kOk;
     bool miss = false;         // not in the cache: stage 2 replays it
+    const DecodedProgram* stream = nullptr;  // a miss's replay stream
     std::uint64_t weight = 1;  // traces coalesced into this job
     std::optional<CrashInfo> crash;
     std::unique_ptr<Trace> trace;  // decoded eagerly: failures, gate releases
@@ -427,6 +437,7 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
       ingest_stats_.replay_cache_hits++;
     } else {
       job.miss = true;
+      job.stream = &replay_stream(*job.entry);
       misses.push_back(i);
     }
   }
@@ -458,7 +469,7 @@ void Hive::ingest_batch(const std::vector<Bytes>& wires) {
       SB_CHECK(ok);
       decoded = &scratch;
     }
-    const auto rep = replay_trace(job.entry->program, *decoded);
+    const auto rep = replay_trace(job.entry->program, *job.stream, *decoded);
     if (!rep.ok) return;  // null decisions: a failing replay
     auto decisions = std::make_shared<std::vector<SymDecision>>();
     decisions->reserve(rep.decisions.size());
@@ -712,14 +723,16 @@ void Hive::revoke_proofs(ProgramId program) {
 }
 
 bool Hive::holds_unrevoked(const ProofCertificate& cert) const {
-  const auto content = [](ProofCertificate c) {
-    c.id = ProofId(0);
-    c.day_issued = 0;
-    return c;
+  // What a certificate proves, not how its attempt got there: a re-proof
+  // of an unchanged tree observes the paths gap closure once added, and
+  // makes other solver calls and frontier clips.
+  const auto proves = [](const ProofCertificate& c) {
+    return std::tie(c.program, c.property, c.input_domain, c.paths_total,
+                    c.complete, c.holds, c.counterexample,
+                    c.counterexample_outcome);
   };
-  const ProofCertificate want = content(cert);
   for (const auto& published : proofs_) {
-    if (!published.revoked && content(published.certificate) == want) {
+    if (!published.revoked && proves(published.certificate) == proves(cert)) {
       return true;
     }
   }

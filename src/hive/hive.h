@@ -52,6 +52,7 @@
 namespace softborg {
 
 struct CoopResult;
+struct DecodedProgram;  // minivm/decode.h
 
 struct HiveConfig {
   double auto_fix_threshold = 0.9;
@@ -367,6 +368,11 @@ class Hive {
                          std::uint64_t day);
   void merge_decisions(const Trace& t,
                        const std::vector<SymDecision>& decisions);
+  // The decoded stream replay runs `entry`'s program on: the one pods
+  // without fixes share (predecode_cached, fused), fetched the first time
+  // the program is replayed and held from then on. Serial callers only, so
+  // stage 2's workers never take the predecode cache's lock.
+  const DecodedProgram& replay_stream(const CorpusEntry& entry);
   // The pool a fanned-out batch runs on, started on first use: min(cap,
   // hardware concurrency) workers, where ingest_threads is the cap (0: none).
   // Null when that leaves one worker or fewer. Workers beyond the cores
@@ -444,6 +450,9 @@ class Hive {
     std::size_t count = 0;
   };
   ReplayCache replay_cache_;
+  // Held replay streams by program id (replay_stream()).
+  std::unordered_map<std::uint64_t, std::shared_ptr<const DecodedProgram>>
+      replay_streams_;
   std::unique_ptr<ThreadPool> ingest_pool_;  // lazily created
 
   ProofClosureStats proof_stats_;
@@ -455,8 +464,9 @@ class Hive {
   Rng rng_;
 
   void revoke_proofs(ProgramId program);
-  // True when an unrevoked published certificate has cert's content (id
-  // and day_issued aside).
+  // True when an unrevoked published certificate proves what cert proves:
+  // the same program, property, input domain, path census, verdict and
+  // counterexample (the attempt's own telemetry aside).
   bool holds_unrevoked(const ProofCertificate& cert) const;
 
   std::uint64_t latest_day_seen_ = 0;

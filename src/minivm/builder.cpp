@@ -180,10 +180,7 @@ Program ProgramBuilder::build() {
 
   std::uint32_t next_site = 0;
   for (auto& ins : p.code) {
-    if (ins.op == Op::kBranchIf || ins.op == Op::kAssert ||
-        ins.op == Op::kDiv || ins.op == Op::kMod) {
-      ins.site = next_site++;
-    }
+    if (op_info(ins.op).site) ins.site = next_site++;
   }
   p.num_branch_sites = next_site;
 

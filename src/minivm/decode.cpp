@@ -12,106 +12,33 @@ namespace softborg {
 
 namespace {
 
-bool is_nontrap_alu(Op op) {
-  switch (op) {
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kCmpLt:
-    case Op::kCmpLe:
-    case Op::kCmpEq:
-    case Op::kCmpNe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_cmp(Op op) {
-  return op == Op::kCmpLt || op == Op::kCmpLe || op == Op::kCmpEq ||
-         op == Op::kCmpNe;
-}
-
-Tok const_alu_token(Op alu) {
-  switch (alu) {
-    case Op::kAdd: return Tok::kConstAdd;
-    case Op::kSub: return Tok::kConstSub;
-    case Op::kMul: return Tok::kConstMul;
-    case Op::kCmpLt: return Tok::kConstCmpLt;
-    case Op::kCmpLe: return Tok::kConstCmpLe;
-    case Op::kCmpEq: return Tok::kConstCmpEq;
-    case Op::kCmpNe: return Tok::kConstCmpNe;
-    default: SB_CHECK(false); return Tok::kHalt;
-  }
-}
-
-Tok cmp_branch_token(Op cmp) {
-  switch (cmp) {
-    case Op::kCmpLt: return Tok::kCmpLtBranch;
-    case Op::kCmpLe: return Tok::kCmpLeBranch;
-    case Op::kCmpEq: return Tok::kCmpEqBranch;
-    case Op::kCmpNe: return Tok::kCmpNeBranch;
-    default: SB_CHECK(false); return Tok::kHalt;
-  }
-}
-
 // Superinstruction selection for the pair starting at `pc`, or Tok::kHalt
-// ("no fusion") when the pair is not in the table. Fusion requires the first
-// instruction to fall through unconditionally (const/mov/cmp all do) and
-// the pair to be one the dispatch core has a specialized handler for.
+// ("no fusion"). The opcode table (ops.h) names the pairs the dispatch core
+// has a handler for; their first halves all fall through unconditionally.
+// Two conditions depend on the program around the pair.
 Tok fuse_token(const Program& p, std::uint32_t pc) {
   if (pc + 1 >= p.code.size()) return Tok::kHalt;
   const Instr& i1 = p.code[pc];
   const Instr& i2 = p.code[pc + 1];
-  switch (i1.op) {
-    case Op::kConst:
-      if (!is_nontrap_alu(i2.op)) return Tok::kHalt;
-      // Prefer the more profitable cmp+branch fusion one slot later: leave
-      // the const plain when the ALU op is a cmp that would itself fuse
-      // with a following branch (both splits cost two dispatches, but the
-      // cmp+branch handler also skips the flag-register round trip).
-      if (is_cmp(i2.op) && pc + 2 < p.code.size() &&
-          p.code[pc + 2].op == Op::kBranchIf && p.code[pc + 2].a == i2.a) {
-        return Tok::kHalt;
-      }
-      return const_alu_token(i2.op);
-    case Op::kCmpLt:
-    case Op::kCmpLe:
-    case Op::kCmpEq:
-    case Op::kCmpNe:
-      // The branch must test the freshly computed compare result.
-      if (i2.op == Op::kBranchIf && i2.a == i1.a) return cmp_branch_token(i1.op);
+  const SuperInfo* pair = super_pair(i1.op, i2.op);
+  if (pair == nullptr) return Tok::kHalt;
+  // The branch must test the freshly computed compare result.
+  if (i2.op == Op::kBranchIf) return i2.a == i1.a ? pair->tok : Tok::kHalt;
+  // Prefer the more profitable cmp+branch fusion one slot later: leave a
+  // const plain when its ALU op is a cmp that would itself fuse with a
+  // following branch (both splits cost two dispatches, but the cmp+branch
+  // handler also skips the flag-register round trip).
+  if (pc + 2 < p.code.size()) {
+    const Instr& i3 = p.code[pc + 2];
+    if (i3.op == Op::kBranchIf && i3.a == i2.a &&
+        super_pair(i2.op, Op::kBranchIf) != nullptr) {
       return Tok::kHalt;
-    case Op::kMov:
-      if (i2.op == Op::kStoreG) return Tok::kMovStoreG;
-      return Tok::kHalt;
-    default:
-      return Tok::kHalt;
+    }
   }
+  return pair->tok;
 }
 
 }  // namespace
-
-const char* tok_name(Tok tok) {
-  if (static_cast<std::size_t>(tok) < kNumOps) {
-    return op_name(static_cast<Op>(tok));
-  }
-  switch (tok) {
-    case Tok::kConstAdd: return "const+add";
-    case Tok::kConstSub: return "const+sub";
-    case Tok::kConstMul: return "const+mul";
-    case Tok::kConstCmpLt: return "const+cmplt";
-    case Tok::kConstCmpLe: return "const+cmple";
-    case Tok::kConstCmpEq: return "const+cmpeq";
-    case Tok::kConstCmpNe: return "const+cmpne";
-    case Tok::kCmpLtBranch: return "cmplt+brif";
-    case Tok::kCmpLeBranch: return "cmple+brif";
-    case Tok::kCmpEqBranch: return "cmpeq+brif";
-    case Tok::kCmpNeBranch: return "cmpne+brif";
-    case Tok::kMovStoreG: return "mov+storeg";
-    default: return "?";
-  }
-}
 
 DecodedProgram predecode(const Program& p, const FixSet* fixes,
                          const DecodeOptions& options) {

@@ -38,59 +38,6 @@
 
 namespace softborg {
 
-// Handler tokens: one per Op (same order and values — predecode relies on
-// the 1:1 mapping), then one per superinstruction.
-enum class Tok : std::uint8_t {
-  kConst,
-  kMov,
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  kMod,
-  kCmpLt,
-  kCmpLe,
-  kCmpEq,
-  kCmpNe,
-  kBranchIf,
-  kJump,
-  kInput,
-  kSyscall,
-  kLoadG,
-  kStoreG,
-  kLock,
-  kUnlock,
-  kAssert,
-  kAbort,
-  kOutput,
-  kYield,
-  kHalt,
-  // Superinstructions: const feeding (or preceding) a non-trapping ALU op,
-  kConstAdd,
-  kConstSub,
-  kConstMul,
-  kConstCmpLt,
-  kConstCmpLe,
-  kConstCmpEq,
-  kConstCmpNe,
-  // compare whose result is immediately branched on,
-  kCmpLtBranch,
-  kCmpLeBranch,
-  kCmpEqBranch,
-  kCmpNeBranch,
-  // and register shuffle feeding a global store.
-  kMovStoreG,
-};
-
-inline constexpr std::size_t kNumToks =
-    static_cast<std::size_t>(Tok::kMovStoreG) + 1;
-
-static_assert(static_cast<std::size_t>(Tok::kHalt) ==
-                  static_cast<std::size_t>(Op::kHalt),
-              "base tokens must mirror Op values");
-
-const char* tok_name(Tok tok);
-
 inline constexpr std::uint32_t kNoFix = 0xffffffffu;
 
 // One decoded slot: exactly one cache line. Primary operands (a, b, c, imm,

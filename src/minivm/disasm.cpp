@@ -1,74 +1,31 @@
 #include "minivm/disasm.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace softborg {
 
 std::string instr_text(const Instr& ins) {
-  char buf[128];
-  switch (ins.op) {
-    case Op::kConst:
-      std::snprintf(buf, sizeof(buf), "const r%u = %lld", ins.a,
-                    static_cast<long long>(ins.imm));
-      break;
-    case Op::kMov:
-      std::snprintf(buf, sizeof(buf), "mov   r%u = r%u", ins.a, ins.b);
-      break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kMod:
-    case Op::kCmpLt:
-    case Op::kCmpLe:
-    case Op::kCmpEq:
-    case Op::kCmpNe:
-      std::snprintf(buf, sizeof(buf), "%-5s r%u = r%u, r%u",
-                    op_name(ins.op), ins.a, ins.b, ins.c);
-      break;
-    case Op::kBranchIf:
-      std::snprintf(buf, sizeof(buf), "brif  r%u ? ->%u : ->%u   (site %u)",
-                    ins.a, ins.b, ins.c, ins.site);
-      break;
-    case Op::kJump:
-      std::snprintf(buf, sizeof(buf), "jump  ->%u", ins.a);
-      break;
-    case Op::kInput:
-      std::snprintf(buf, sizeof(buf), "input r%u = in[%u]", ins.a, ins.b);
-      break;
-    case Op::kSyscall:
-      std::snprintf(buf, sizeof(buf), "sys   r%u = sys%u(r%u)", ins.a, ins.b,
-                    ins.c);
-      break;
-    case Op::kLoadG:
-      std::snprintf(buf, sizeof(buf), "loadg r%u = g[%u]", ins.a, ins.b);
-      break;
-    case Op::kStoreG:
-      std::snprintf(buf, sizeof(buf), "storg g[%u] = r%u", ins.a, ins.b);
-      break;
-    case Op::kLock:
-      std::snprintf(buf, sizeof(buf), "lock  L%u", ins.a);
-      break;
-    case Op::kUnlock:
-      std::snprintf(buf, sizeof(buf), "unlck L%u", ins.a);
-      break;
-    case Op::kAssert:
-      std::snprintf(buf, sizeof(buf), "asert r%u (msg %u)", ins.a, ins.b);
-      break;
-    case Op::kAbort:
-      std::snprintf(buf, sizeof(buf), "abort (%u)", ins.a);
-      break;
-    case Op::kOutput:
-      std::snprintf(buf, sizeof(buf), "out   r%u", ins.a);
-      break;
-    case Op::kYield:
-      std::snprintf(buf, sizeof(buf), "yield");
-      break;
-    case Op::kHalt:
-      std::snprintf(buf, sizeof(buf), "halt");
-      break;
+  const std::string layout = op_info(ins.op).layout;
+  const std::size_t space = layout.find(' ');
+  std::string out =
+      layout[0] == '%' ? op_name(ins.op) : layout.substr(0, space);
+  if (space == std::string::npos) return out;
+  out.resize(std::max<std::size_t>(out.size(), 5), ' ');
+  for (std::size_t i = space; i < layout.size(); ++i) {
+    if (layout[i] != '$') {
+      out += layout[i];
+      continue;
+    }
+    switch (layout[++i]) {
+      case 'a': out += std::to_string(ins.a); break;
+      case 'b': out += std::to_string(ins.b); break;
+      case 'c': out += std::to_string(ins.c); break;
+      case 'i': out += std::to_string(ins.imm); break;
+      default: out += std::to_string(ins.site); break;
+    }
   }
-  return buf;
+  return out;
 }
 
 std::string disassemble_instr(const Instr& ins, std::uint32_t pc) {
@@ -123,42 +80,6 @@ std::string disassemble_decoded(const Program& p, const DecodedProgram& d) {
   return out;
 }
 
-namespace {
-
-// Superinstruction the pair *can* select (decode.cpp fuse_token), ignoring
-// the program-context conditions (branch-tests-cmp-register, const+cmp
-// deferral): the pair-counts table is opcode-level, so this annotates which
-// rows the fusion table can serve at all.
-const char* fusion_candidate(Op first, Op second) {
-  switch (first) {
-    case Op::kConst:
-      switch (second) {
-        case Op::kAdd: return "const+add";
-        case Op::kSub: return "const+sub";
-        case Op::kMul: return "const+mul";
-        case Op::kCmpLt: return "const+cmplt";
-        case Op::kCmpLe: return "const+cmple";
-        case Op::kCmpEq: return "const+cmpeq";
-        case Op::kCmpNe: return "const+cmpne";
-        default: return nullptr;
-      }
-    case Op::kCmpLt:
-      return second == Op::kBranchIf ? "cmplt+brif" : nullptr;
-    case Op::kCmpLe:
-      return second == Op::kBranchIf ? "cmple+brif" : nullptr;
-    case Op::kCmpEq:
-      return second == Op::kBranchIf ? "cmpeq+brif" : nullptr;
-    case Op::kCmpNe:
-      return second == Op::kBranchIf ? "cmpne+brif" : nullptr;
-    case Op::kMov:
-      return second == Op::kStoreG ? "mov+storeg" : nullptr;
-    default:
-      return nullptr;
-  }
-}
-
-}  // namespace
-
 std::string format_pair_counts(const OpPairCounts& counts,
                                std::size_t top_n) {
   const auto pairs = counts.sorted();
@@ -172,12 +93,14 @@ std::string format_pair_counts(const OpPairCounts& counts,
     const double pct =
         total == 0 ? 0.0 : 100.0 * static_cast<double>(pair.count) /
                                static_cast<double>(total);
-    const char* fuse = fusion_candidate(pair.first, pair.second);
+    // The superinstruction the pair *can* select, ignoring the program
+    // context fuse_token (decode.cpp) also checks: the table is opcode-level.
+    const SuperInfo* fuse = super_pair(pair.first, pair.second);
     std::snprintf(buf, sizeof(buf), "  %-6s -> %-6s %10llu  %5.1f%%%s%s\n",
                   op_name(pair.first), op_name(pair.second),
                   static_cast<unsigned long long>(pair.count), pct,
                   fuse != nullptr ? "  fuses: " : "",
-                  fuse != nullptr ? fuse : "");
+                  fuse != nullptr ? fuse->name : "");
     out += buf;
     shown++;
   }

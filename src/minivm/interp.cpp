@@ -3,11 +3,9 @@
 // The hot loop runs over the DecodedProgram stream (decode.h): one 64-byte
 // slot per pc with the handler token, pre-unpacked operands, and the fix
 // hooks for that pc already resolved, so the per-instruction work is a
-// single indirect jump plus the handler body. Under GCC/Clang the dispatch
-// is computed goto (&&handler jump table); -DSOFTBORG_DISPATCH_SWITCH (CMake
-// option SOFTBORG_DISPATCH=switch) selects a portable token-threaded switch
-// over the exact same handler bodies (SB_CASE expands to a label in one
-// mode, a case in the other).
+// single indirect jump plus the handler body. Dispatch is computed goto
+// (&&handler jump table, one label per Tok of the opcode table, ops.h);
+// the project builds only with GCC or Clang.
 //
 // Superinstructions (const+ALU, cmp+branch, mov+storeg) execute both halves
 // of a fused pair in one dispatch. Accounting stays per *original*
@@ -26,39 +24,33 @@
 // max_steps gets one more instruction on its next turn before the hang
 // fires; blocking on a lock and halting *do* run the step-limit check;
 // crash/deadlock exits skip it (done_ is already set).
+//
+// The same machine replays traces for the hive (replay.h), in a mode fixed
+// at compile time: Machine<Mode::kReplay> runs the program with its inputs
+// unknown, which is what taint already tracks. At a decision (a branch, a
+// divisor check, an assert) a tainted condition reads the trace's next bit
+// where execute mode records one; an untainted condition is reconstructed
+// from values, and cross-checked against its bit where the trace records
+// every decision. Inputs and syscalls yield a tainted 0. Replay follows the
+// recorded schedule strictly, runs no fix hooks, and records nothing but
+// the tainted decisions; a crash ends it successfully only where the trace
+// recorded one. Execute mode compiles without any of this.
 #include "minivm/interp.h"
 
 #include <algorithm>
 #include <deque>
+#include <string>
+#include <type_traits>
 
 #include "common/check.h"
 #include "minivm/decode.h"
+#include "minivm/replay.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-
-#if !defined(SOFTBORG_DISPATCH_SWITCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SB_DISPATCH_GOTO 1
-#endif
 
 namespace softborg {
 
 namespace {
-
-// Wrapping arithmetic: MiniVM integers are two's-complement 64-bit with
-// defined wraparound (no UB on overflow).
-Value wrap_add(Value a, Value b) {
-  return static_cast<Value>(static_cast<std::uint64_t>(a) +
-                            static_cast<std::uint64_t>(b));
-}
-Value wrap_sub(Value a, Value b) {
-  return static_cast<Value>(static_cast<std::uint64_t>(a) -
-                            static_cast<std::uint64_t>(b));
-}
-Value wrap_mul(Value a, Value b) {
-  return static_cast<Value>(static_cast<std::uint64_t>(a) *
-                            static_cast<std::uint64_t>(b));
-}
 
 struct ThreadCtx {
   std::uint32_t pc = 0;
@@ -98,18 +90,44 @@ enum LockResult {
   kLockStop,      // deadlock detected; execution is over
 };
 
+enum class Mode {
+  kExecute,  // a pod's run: inputs, environment, fixes, by-products
+  kReplay,   // the hive's replay of a trace, with the inputs unknown
+};
+
+// Replay's view of the trace it follows.
+struct ReplayCursor {
+  const Trace* trace = nullptr;
+  std::size_t next_bit = 0;
+  bool record_all = false;  // the trace records untainted decisions too
+  bool failed = false;
+  std::string error;
+};
+struct NoReplay {};
+
+// The configuration replay runs under: no inputs, plan, profile or fixes.
+const ExecConfig kReplayConfig{};
+
+template <Mode kMode>
 class Machine {
+  static constexpr bool kReplay = kMode == Mode::kReplay;
+
  public:
   // Everything the run reads about the program comes from the validated
-  // stream; `program` only names the trace.
+  // stream; `program` only names the trace. Replay mode follows `trace`.
   Machine(ProgramId program, const DecodedProgram& decoded,
-          const ExecConfig& config)
+          const ExecConfig& config, const Trace* trace = nullptr)
       : program_(program),
         cfg_(config),
         env_(config.env != nullptr ? *config.env : default_env()),
         sched_rng_(config.seed),
         env_rng_(Rng(config.seed).split(0x0e17)),
         decoded_(decoded) {
+    if constexpr (kReplay) {
+      replay_.trace = trace;
+      replay_.record_all = trace->granularity == Granularity::kAllBranches ||
+                           trace->granularity == Granularity::kFull;
+    }
     threads_.resize(decoded_.thread_entries.size());
     for (std::size_t t = 0; t < threads_.size(); ++t) {
       threads_[t].pc = decoded_.thread_entries[t];
@@ -122,6 +140,7 @@ class Machine {
   }
 
   ExecResult run();
+  ReplayResult replay();
 
  private:
   // Executes one scheduler turn of thread `t`: up to `quantum` original
@@ -138,6 +157,11 @@ class Machine {
     return cfg_.granularity == Granularity::kAllBranches ||
            cfg_.granularity == Granularity::kFull;
   }
+  // Replay mode only.
+  void replay_fail(const char* error);
+  bool replay_decide(bool value, bool tainted, std::uint32_t site,
+                     std::uint8_t t, const char* mismatch, bool* dir);
+  void replay_crash(CrashKind kind, std::uint32_t pc, const char* error);
 
   const ProgramId program_;
   const ExecConfig& cfg_;
@@ -172,21 +196,76 @@ class Machine {
   std::vector<LockEvent> deadlock_cycle_;
   std::vector<Value> outputs_;
   bool fix_intervened_ = false;
+
+  [[no_unique_address]] std::conditional_t<kReplay, ReplayCursor, NoReplay>
+      replay_;
 };
 
-void Machine::record_branch_bit(bool dir, bool tainted) {
+template <Mode kMode>
+void Machine<kMode>::replay_fail(const char* error) {
+  if (replay_.error.empty()) replay_.error = error;
+  replay_.failed = true;
+  done_ = true;
+}
+
+// A decision's direction in replay: a tainted condition is unknown to the
+// hive, so the trace's next bit gives it (and it joins the decision
+// stream); an untainted one is `value`, checked against its bit where the
+// trace records every decision. False when the trace runs out of bits or
+// contradicts the program.
+template <Mode kMode>
+bool Machine<kMode>::replay_decide(bool value, bool tainted,
+                                   std::uint32_t site, std::uint8_t t,
+                                   const char* mismatch, bool* dir) {
+  *dir = value;
+  if (!tainted && !replay_.record_all) return true;
+  const BitVec& bits = replay_.trace->branch_bits;
+  if (replay_.next_bit >= bits.size()) {
+    replay_fail("trace bit-vector exhausted");
+    return false;
+  }
+  const bool bit = bits[replay_.next_bit++];
+  if (tainted) {
+    *dir = bit;
+    branch_events_.push_back({site, bit, true, t});
+  } else if (bit != value) {
+    replay_fail(mismatch);
+    return false;
+  }
+  return true;
+}
+
+// A crash ends replay, successfully only where the trace recorded it: the
+// same pc and kind, at the trace's final step. A crash site can run many
+// times before the failing occurrence (a div in a loop).
+template <Mode kMode>
+void Machine<kMode>::replay_crash(CrashKind kind, std::uint32_t pc,
+                                  const char* error) {
+  const Trace& tr = *replay_.trace;
+  done_ = true;
+  if (tr.outcome != Outcome::kCrash || !tr.crash.has_value() ||
+      tr.crash->pc != pc || tr.crash->kind != kind || steps_ != tr.steps) {
+    replay_fail(error);
+  }
+}
+
+template <Mode kMode>
+void Machine<kMode>::record_branch_bit(bool dir, bool tainted) {
   if (cfg_.granularity == Granularity::kNone) return;
   if (tainted || record_all_branches()) bits_.push_back(dir);
 }
 
-void Machine::crash(CrashKind kind, std::uint32_t pc, std::int64_t detail) {
+template <Mode kMode>
+void Machine<kMode>::crash(CrashKind kind, std::uint32_t pc,
+                           std::int64_t detail) {
   done_ = true;
   outcome_ = Outcome::kCrash;
   crash_info_ = CrashInfo{kind, pc, detail};
 }
 
-bool Machine::wait_chain_has_cycle(std::uint8_t start,
-                                   std::vector<LockEvent>* cycle) const {
+template <Mode kMode>
+bool Machine<kMode>::wait_chain_has_cycle(
+    std::uint8_t start, std::vector<LockEvent>* cycle) const {
   // Follow thread -> lock-it-waits-on -> owner; bounded by thread count.
   std::vector<LockEvent> path;
   std::uint8_t t = start;
@@ -207,7 +286,9 @@ bool Machine::wait_chain_has_cycle(std::uint8_t start,
   return false;
 }
 
-LockResult Machine::exec_lock(std::uint8_t t, const DecodedInstr& d) {
+template <Mode kMode>
+LockResult Machine<kMode>::exec_lock(std::uint8_t t,
+                                     const DecodedInstr& d) {
   ThreadCtx& th = threads_[t];
   const std::uint16_t l = static_cast<std::uint16_t>(d.a);
 
@@ -215,7 +296,7 @@ LockResult Machine::exec_lock(std::uint8_t t, const DecodedInstr& d) {
   // set. If another thread currently holds any lock of the cycle, yield
   // (quantum ends, pc unchanged) instead of entering the pattern. Predecode
   // already filtered the installed fixes down to the ones covering `l`.
-  if (d.fix_count != 0) {
+  if (!kReplay && d.fix_count != 0) {
     const LockAvoidanceFix* fs = decoded_.lockfix_pool.data() + d.fix_begin;
     for (std::uint32_t i = 0; i < d.fix_count; ++i) {
       const LockAvoidanceFix& fix = fs[i];
@@ -245,15 +326,18 @@ LockResult Machine::exec_lock(std::uint8_t t, const DecodedInstr& d) {
     lock.owner = t;
     th.held.push_back(l);
     th.pc++;
-    lock_events_.push_back(
-        {t, true, l, th.pc - 1, static_cast<std::uint32_t>(steps_)});
+    if constexpr (!kReplay) {
+      lock_events_.push_back(
+          {t, true, l, th.pc - 1, static_cast<std::uint32_t>(steps_)});
+    }
     return kLockAcquired;
   }
 
-  // Block (possibly on a lock we already own: self-deadlock).
+  // Block (possibly on a lock we already own: self-deadlock). Replay
+  // detects no deadlock: the recorded schedule ends where the run did.
   th.blocked_on = l;
   lock.waiters.push_back(t);
-  if (cfg_.detect_deadlock) {
+  if constexpr (!kReplay) {
     std::vector<LockEvent> cycle;
     if (wait_chain_has_cycle(t, &cycle)) {
       done_ = true;
@@ -265,17 +349,24 @@ LockResult Machine::exec_lock(std::uint8_t t, const DecodedInstr& d) {
   return kLockBlocked;
 }
 
-void Machine::exec_unlock(std::uint8_t t, std::uint16_t l) {
+template <Mode kMode>
+void Machine<kMode>::exec_unlock(std::uint8_t t, std::uint16_t l) {
   ThreadCtx& th = threads_[t];
   LockCtx& lock = locks_[l];
   if (lock.owner != static_cast<int>(t)) {
-    crash(CrashKind::kExplicitAbort, th.pc, 1000 + l);
+    if constexpr (kReplay) {
+      replay_crash(CrashKind::kExplicitAbort, th.pc, "unlock of lock not held");
+    } else {
+      crash(CrashKind::kExplicitAbort, th.pc, 1000 + l);
+    }
     return;
   }
   lock.owner = -1;
   th.held.erase(std::find(th.held.begin(), th.held.end(), l));
-  lock_events_.push_back(
-      {t, false, l, th.pc, static_cast<std::uint32_t>(steps_)});
+  if constexpr (!kReplay) {
+    lock_events_.push_back(
+        {t, false, l, th.pc, static_cast<std::uint32_t>(steps_)});
+  }
   th.pc++;
 
   // Hand the lock to the first waiter, FIFO; its pc moves past its kLock.
@@ -287,14 +378,17 @@ void Machine::exec_unlock(std::uint8_t t, std::uint16_t l) {
     lock.owner = w;
     wt.blocked_on.reset();
     wt.held.push_back(l);
-    lock_events_.push_back(
-        {w, true, l, wt.pc, static_cast<std::uint32_t>(steps_)});
+    if constexpr (!kReplay) {
+      lock_events_.push_back(
+          {w, true, l, wt.pc, static_cast<std::uint32_t>(steps_)});
+    }
     wt.pc++;
     break;
   }
 }
 
-void Machine::run_quantum(std::uint8_t t, std::uint32_t quantum) {
+template <Mode kMode>
+void Machine<kMode>::run_quantum(std::uint8_t t, std::uint32_t quantum) {
   if (quantum == 0) return;
   ThreadCtx& th = threads_[t];
   Value* const regs = th.regs.data();
@@ -310,13 +404,16 @@ void Machine::run_quantum(std::uint8_t t, std::uint32_t quantum) {
   // the scheduler quantum, capped at the step limit. A thread that yielded
   // exactly at max_steps re-enters with steps_ >= max_steps and gets exactly
   // one more instruction before the limit check fires (see header comment).
-  std::uint64_t left = std::min<std::uint64_t>(
-      quantum, steps_ >= max_steps ? 1 : max_steps - steps_);
+  // Replay's turns are the trace's own runs, and have no step limit.
+  std::uint64_t left =
+      kReplay ? quantum
+              : std::min<std::uint64_t>(
+                    quantum, steps_ >= max_steps ? 1 : max_steps - steps_);
 
   // The whole turn is one thread, so the schedule summary advances by bulk
   // increments on one run instead of a call per instruction.
   ScheduleRun* sched = nullptr;
-  if (threads_.size() > 1) {
+  if (!kReplay && threads_.size() > 1) {
     if (schedule_.empty() || schedule_.back().thread != t) {
       schedule_.push_back({t, 0});
     }
@@ -333,26 +430,14 @@ void Machine::run_quantum(std::uint8_t t, std::uint32_t quantum) {
   std::uint32_t br_then = 0;
   std::uint32_t br_else = 0;
 
-#ifdef SB_DISPATCH_GOTO
-  // Jump table in Tok value order (decode.h).
+  // Jump table in Tok value order: one handler label per row of the opcode
+  // table (ops.h).
   static const void* const kJump[] = {
-      &&H_kConst,      &&H_kMov,        &&H_kAdd,       &&H_kSub,
-      &&H_kMul,        &&H_kDiv,        &&H_kMod,       &&H_kCmpLt,
-      &&H_kCmpLe,      &&H_kCmpEq,      &&H_kCmpNe,     &&H_kBranchIf,
-      &&H_kJump,       &&H_kInput,      &&H_kSyscall,   &&H_kLoadG,
-      &&H_kStoreG,     &&H_kLock,       &&H_kUnlock,    &&H_kAssert,
-      &&H_kAbort,      &&H_kOutput,     &&H_kYield,     &&H_kHalt,
-      &&H_kConstAdd,   &&H_kConstSub,   &&H_kConstMul,  &&H_kConstCmpLt,
-      &&H_kConstCmpLe, &&H_kConstCmpEq, &&H_kConstCmpNe, &&H_kCmpLtBranch,
-      &&H_kCmpLeBranch, &&H_kCmpEqBranch, &&H_kCmpNeBranch, &&H_kMovStoreG,
+#define SB_LABEL(TOK, ...) &&H_##TOK,
+      SB_MINIVM_OPS(SB_LABEL) SB_MINIVM_SUPERS(SB_LABEL)
+#undef SB_LABEL
   };
   static_assert(sizeof(kJump) / sizeof(kJump[0]) == kNumToks);
-#define SB_CASE(T) H_##T
-#define SB_NEXT() goto* kJump[static_cast<std::size_t>(tok)]
-#else
-#define SB_CASE(T) case Tok::T
-#define SB_NEXT() goto dispatch_switch
-#endif
 
 fetch:
   d = &code[th.pc];
@@ -381,81 +466,88 @@ fetch:
     th.pair_prev_op = cur;
     th.pair_valid = true;
   }
-  SB_NEXT();
+  goto* kJump[static_cast<std::size_t>(tok)];
 
-#ifndef SB_DISPATCH_GOTO
-dispatch_switch:
-  switch (tok) {
-#endif
-
-    SB_CASE(kConst) : {
+    H_kConst : {
       regs[d->a] = d->imm;
       taint[d->a] = 0;
       th.pc++;
       goto done_step;
     }
-    SB_CASE(kMov) : {
+    H_kMov : {
       regs[d->a] = regs[d->b];
       taint[d->a] = taint[d->b];
       th.pc++;
       goto done_step;
     }
 
-// Non-trapping binary ALU handler: one flat body per op (the old
+// Non-trapping binary ALU handlers: one flat body per op (the old
 // interpreter decoded `op` twice through nested switches here).
-#define SB_ALU(EXPR)                                                 \
-  {                                                                  \
-    const Value x = regs[d->b];                                      \
-    const Value y = regs[d->c];                                      \
-    regs[d->a] = (EXPR);                                             \
-    taint[d->a] = static_cast<std::uint8_t>(taint[d->b] | taint[d->c]); \
-    th.pc++;                                                         \
-    goto done_step;                                                  \
-  }
-
-    SB_CASE(kAdd) : SB_ALU(wrap_add(x, y))
-    SB_CASE(kSub) : SB_ALU(wrap_sub(x, y))
-    SB_CASE(kMul) : SB_ALU(wrap_mul(x, y))
-    SB_CASE(kCmpLt) : SB_ALU(x < y)
-    SB_CASE(kCmpLe) : SB_ALU(x <= y)
-    SB_CASE(kCmpEq) : SB_ALU(x == y)
-    SB_CASE(kCmpNe) : SB_ALU(x != y)
-
-// Division-family handler: surviving the divisor-zero check is a decision
-// of the execution tree, recorded like a branch (true = survived). The
-// pre-resolved crash guard (kSubstitute) can absorb the crash.
-#define SB_DIVMOD(DETAIL, EXPR)                                         \
-  {                                                                     \
-    const Value x = regs[d->b];                                         \
-    const Value y = regs[d->c];                                         \
-    record_branch_bit(y != 0, taint[d->c] != 0);                        \
-    if (cfg_.collect_branch_events) {                                   \
-      branch_events_.push_back({d->site, y != 0, taint[d->c] != 0, t}); \
-    }                                                                   \
-    Value r;                                                            \
-    if (y == 0) {                                                       \
-      const CrashGuardFix* g =                                          \
-          d->guard != kNoFix ? &decoded_.guard_pool[d->guard] : nullptr; \
-      if (g == nullptr || g->action != CrashGuardFix::Action::kSubstitute) { \
-        crash(CrashKind::kDivByZero, th.pc, (DETAIL));                  \
-        return;                                                         \
-      }                                                                 \
-      r = g->fallback;                                                  \
-      fix_intervened_ = true;                                           \
-    } else {                                                            \
-      r = (EXPR);                                                       \
-    }                                                                   \
-    regs[d->a] = r;                                                     \
+#define SB_ALU(OP, BIN, VALUE)                                          \
+  H_##OP : {                                                            \
+    regs[d->a] = binop_value(BinOp::BIN, regs[d->b], regs[d->c]);       \
     taint[d->a] = static_cast<std::uint8_t>(taint[d->b] | taint[d->c]); \
     th.pc++;                                                            \
     goto done_step;                                                     \
   }
+    SB_MINIVM_PLAIN_ALU(SB_ALU)
+#undef SB_ALU
 
-    SB_CASE(kDiv)
-        : SB_DIVMOD(0, (x == INT64_MIN && y == -1) ? INT64_MIN : x / y)
-    SB_CASE(kMod) : SB_DIVMOD(1, (x == INT64_MIN && y == -1) ? 0 : x % y)
+// Division-family handlers: surviving the divisor-zero check is a decision
+// of the execution tree, recorded like a branch (true = survived). The
+// pre-resolved crash guard (kSubstitute) can absorb the crash. In replay, a
+// tainted divisor that survives leaves a tainted result: its value means
+// nothing, so no division runs.
+#define SB_DIVMOD(OP, BIN, VALUE)                                           \
+  H_##OP : {                                                                \
+    const Value x = regs[d->b];                                             \
+    const Value y = regs[d->c];                                             \
+    const bool tnt = taint[d->c] != 0;                                      \
+    Value r;                                                                \
+    if constexpr (kReplay) {                                                \
+      bool survived;                                                        \
+      if (!replay_decide(y != 0, tnt, d->site, t,                           \
+                         "deterministic check direction mismatch",          \
+                         &survived)) {                                      \
+        return;                                                             \
+      }                                                                     \
+      if (!survived) {                                                      \
+        replay_crash(CrashKind::kDivByZero, th.pc,                          \
+                     tnt ? "crash decision recorded but trace has no "      \
+                           "matching crash"                                 \
+                         : "deterministic div-by-zero not recorded in "     \
+                           "trace");                                        \
+        return;                                                             \
+      }                                                                     \
+      r = tnt ? 0 : binop_value(BinOp::BIN, x, y);                          \
+    } else {                                                                \
+      record_branch_bit(y != 0, tnt);                                       \
+      if (cfg_.collect_branch_events) {                                     \
+        branch_events_.push_back({d->site, y != 0, tnt, t});                \
+      }                                                                     \
+      if (y == 0) {                                                         \
+        const CrashGuardFix* g =                                            \
+            d->guard != kNoFix ? &decoded_.guard_pool[d->guard] : nullptr;  \
+        if (g == nullptr ||                                                 \
+            g->action != CrashGuardFix::Action::kSubstitute) {              \
+          crash(CrashKind::kDivByZero, th.pc, Op::OP == Op::kDiv ? 0 : 1);  \
+          return;                                                           \
+        }                                                                   \
+        r = g->fallback;                                                    \
+        fix_intervened_ = true;                                             \
+      } else {                                                              \
+        r = binop_value(BinOp::BIN, x, y);                                  \
+      }                                                                     \
+    }                                                                       \
+    regs[d->a] = r;                                                         \
+    taint[d->a] = static_cast<std::uint8_t>(taint[d->b] | taint[d->c]);     \
+    th.pc++;                                                                \
+    goto done_step;                                                         \
+  }
+    SB_MINIVM_DIVISION(SB_DIVMOD)
+#undef SB_DIVMOD
 
-    SB_CASE(kBranchIf) : {
+    H_kBranchIf : {
       br_dir = regs[d->a] != 0;
       br_tnt = taint[d->a] != 0;
       br_site = d->site;
@@ -463,44 +555,50 @@ dispatch_switch:
       br_else = d->c;
       goto branch_resolve;
     }
-    SB_CASE(kJump) : {
+    H_kJump : {
       th.pc = d->a;
       goto done_step;
     }
-    SB_CASE(kInput) : {
-      regs[d->a] = d->b < cfg_.inputs.size() ? cfg_.inputs[d->b] : 0;
+    H_kInput : {
+      // Replay: a program-external value the hive never sees.
+      regs[d->a] =
+          !kReplay && d->b < cfg_.inputs.size() ? cfg_.inputs[d->b] : 0;
       taint[d->a] = 1;
       th.pc++;
       goto done_step;
     }
-    SB_CASE(kSyscall) : {
-      const std::uint16_t sys = static_cast<std::uint16_t>(d->b);
-      const Value arg = regs[d->c];
-      const Value result =
-          env_.call(sys, arg, syscall_index_, env_rng_, cfg_.fault_plan);
-      if (cfg_.granularity == Granularity::kFull) {
-        syscalls_.push_back(
-            {sys, syscall_index_, env_.classify(sys, arg, result)});
+    H_kSyscall : {
+      if constexpr (kReplay) {
+        regs[d->a] = 0;
+      } else {
+        const std::uint16_t sys = static_cast<std::uint16_t>(d->b);
+        const Value arg = regs[d->c];
+        const Value result =
+            env_.call(sys, arg, syscall_index_, env_rng_, cfg_.fault_plan);
+        if (cfg_.granularity == Granularity::kFull) {
+          syscalls_.push_back(
+              {sys, syscall_index_, env_.classify(sys, arg, result)});
+        }
+        syscall_index_++;
+        regs[d->a] = result;
       }
-      syscall_index_++;
-      regs[d->a] = result;
       taint[d->a] = 1;
       th.pc++;
       goto done_step;
     }
-    SB_CASE(kLoadG) : {
+    H_kLoadG : {
       regs[d->a] = globals_[d->b];
       taint[d->a] = global_taint_[d->b];
       th.pc++;
       goto done_step;
     }
-    SB_CASE(kStoreG) : {
+    H_kStoreG : {
       globals_[d->a] = regs[d->b];
       global_taint_[d->a] = taint[d->b];
       th.pc++;
       goto done_step;
     }
-    SB_CASE(kLock) : {
+    H_kLock : {
       switch (exec_lock(t, *d)) {
         case kLockAcquired:
           goto done_step;
@@ -510,14 +608,30 @@ dispatch_switch:
           return;
       }
     }
-    SB_CASE(kUnlock) : {
+    H_kUnlock : {
       exec_unlock(t, static_cast<std::uint16_t>(d->a));
       if (done_) return;  // unlock-without-ownership crash
       goto done_step;
     }
-    SB_CASE(kAssert) : {
-      const bool ok = regs[d->a] != 0;
+    H_kAssert : {
+      bool ok = regs[d->a] != 0;
       const bool tnt = taint[d->a] != 0;
+      if constexpr (kReplay) {
+        if (!replay_decide(ok, tnt, d->site, t,
+                           "deterministic check direction mismatch", &ok)) {
+          return;
+        }
+        if (!ok) {
+          replay_crash(CrashKind::kAssertFailure, th.pc,
+                       tnt ? "crash decision recorded but trace has no "
+                             "matching crash"
+                           : "deterministic assert failure not recorded in "
+                             "trace");
+          return;
+        }
+        th.pc++;
+        goto done_step;
+      }
       record_branch_bit(ok, tnt);
       if (cfg_.collect_branch_events) {
         branch_events_.push_back({d->site, ok, tnt, t});
@@ -537,7 +651,12 @@ dispatch_switch:
       th.pc++;
       goto done_step;
     }
-    SB_CASE(kAbort) : {
+    H_kAbort : {
+      if constexpr (kReplay) {
+        replay_crash(CrashKind::kExplicitAbort, th.pc,
+                     "abort reached but trace did not record it");
+        return;
+      }
       const CrashGuardFix* g =
           d->guard != kNoFix ? &decoded_.guard_pool[d->guard] : nullptr;
       if (g != nullptr && g->action == CrashGuardFix::Action::kSkip) {
@@ -548,13 +667,16 @@ dispatch_switch:
       crash(CrashKind::kExplicitAbort, th.pc, static_cast<std::int64_t>(d->a));
       return;
     }
-    SB_CASE(kOutput) : {
-      outputs_.push_back(regs[d->a]);
+    H_kOutput : {
+      if constexpr (!kReplay) outputs_.push_back(regs[d->a]);
       th.pc++;
       goto done_step;
     }
-    SB_CASE(kYield) : {
+    H_kYield : {
       th.pc++;
+      // Replay runs the trace's runs whole: a run spans every turn the thread
+      // took back to back.
+      if constexpr (kReplay) goto done_step;
       // Voluntary turn end: deliberately skips the step-limit check, so a
       // thread that yields exactly at max_steps still gets one instruction
       // on its next turn.
@@ -565,75 +687,66 @@ dispatch_switch:
       left = steps_ >= max_steps ? 1 : max_steps - steps_;
       goto fetch;
     }
-    SB_CASE(kHalt) : {
+    H_kHalt : {
       th.halted = true;
       goto end_turn;
     }
 
-// Fused const+ALU: the const half (slot operands a/imm) then the ALU half
-// (a2/b2/c2), exactly as two back-to-back unfused steps would.
-#define SB_CONST_ALU(EXPR)                                              \
-  {                                                                     \
-    regs[d->a] = d->imm;                                                \
-    taint[d->a] = 0;                                                    \
-    const Value x = regs[d->b2];                                        \
-    const Value y = regs[d->c2];                                        \
-    regs[d->a2] = (EXPR);                                               \
-    taint[d->a2] = static_cast<std::uint8_t>(taint[d->b2] | taint[d->c2]); \
-    th.pc += 2;                                                         \
-    goto done_step;                                                     \
+// Superinstructions, both halves in one dispatch, exactly as two
+// back-to-back unfused steps would run them. A const feeds its ALU op
+// (a2/b2/c2); a compare's result still lands in its register (later code
+// may re-read it) before the branch half resolves on it, since fusion
+// requires branch.a == cmp.a (decode.cpp) and the slot inherited the
+// branch's GuardPatch range; a mov completes before the store reads (b2
+// may alias the mov dest).
+#define SB_SUPER(TOK, FIRST, SECOND, NAME)                                  \
+  H_##TOK : {                                                               \
+    constexpr Op kFirst = Op::FIRST;                                        \
+    constexpr Op kSecond = Op::SECOND;                                      \
+    static_assert(kFirst == Op::kConst || kSecond == Op::kBranchIf ||       \
+                      (kFirst == Op::kMov && kSecond == Op::kStoreG),       \
+                  "superinstruction without a handler");                    \
+    if constexpr (kFirst == Op::kConst) {                                   \
+      regs[d->a] = d->imm;                                                  \
+      taint[d->a] = 0;                                                      \
+      regs[d->a2] = binop_value(binop_of(kSecond), regs[d->b2], regs[d->c2]); \
+      taint[d->a2] =                                                        \
+          static_cast<std::uint8_t>(taint[d->b2] | taint[d->c2]);           \
+      th.pc += 2;                                                           \
+      goto done_step;                                                       \
+    } else if constexpr (kSecond == Op::kBranchIf) {                        \
+      const Value v = binop_value(binop_of(kFirst), regs[d->b], regs[d->c]); \
+      const std::uint8_t tnt =                                              \
+          static_cast<std::uint8_t>(taint[d->b] | taint[d->c]);             \
+      regs[d->a] = v;                                                       \
+      taint[d->a] = tnt;                                                    \
+      br_dir = v != 0;                                                      \
+      br_tnt = tnt != 0;                                                    \
+      br_site = d->site2;                                                   \
+      br_then = d->b2;                                                      \
+      br_else = d->c2;                                                      \
+      goto branch_resolve;                                                  \
+    } else {                                                                \
+      regs[d->a] = regs[d->b];                                              \
+      taint[d->a] = taint[d->b];                                            \
+      globals_[d->a2] = regs[d->b2];                                        \
+      global_taint_[d->a2] = taint[d->b2];                                  \
+      th.pc += 2;                                                           \
+      goto done_step;                                                       \
+    }                                                                       \
   }
-
-    SB_CASE(kConstAdd) : SB_CONST_ALU(wrap_add(x, y))
-    SB_CASE(kConstSub) : SB_CONST_ALU(wrap_sub(x, y))
-    SB_CASE(kConstMul) : SB_CONST_ALU(wrap_mul(x, y))
-    SB_CASE(kConstCmpLt) : SB_CONST_ALU(x < y)
-    SB_CASE(kConstCmpLe) : SB_CONST_ALU(x <= y)
-    SB_CASE(kConstCmpEq) : SB_CONST_ALU(x == y)
-    SB_CASE(kConstCmpNe) : SB_CONST_ALU(x != y)
-
-// Fused cmp+branch: the compare result still lands in its register (later
-// code may re-read it), then the branch half resolves on the fresh value.
-// Fusion requires branch.a == cmp.a (decode.cpp), so dir/taint come straight
-// from the compare. The slot inherited the branch's GuardPatch range.
-#define SB_CMP_BRANCH(EXPR)                                          \
-  {                                                                  \
-    const Value x = regs[d->b];                                      \
-    const Value y = regs[d->c];                                      \
-    const Value v = (EXPR);                                          \
-    const std::uint8_t tnt =                                         \
-        static_cast<std::uint8_t>(taint[d->b] | taint[d->c]);        \
-    regs[d->a] = v;                                                  \
-    taint[d->a] = tnt;                                               \
-    br_dir = v != 0;                                                 \
-    br_tnt = tnt != 0;                                               \
-    br_site = d->site2;                                              \
-    br_then = d->b2;                                                 \
-    br_else = d->c2;                                                 \
-    goto branch_resolve;                                             \
-  }
-
-    SB_CASE(kCmpLtBranch) : SB_CMP_BRANCH(x < y)
-    SB_CASE(kCmpLeBranch) : SB_CMP_BRANCH(x <= y)
-    SB_CASE(kCmpEqBranch) : SB_CMP_BRANCH(x == y)
-    SB_CASE(kCmpNeBranch) : SB_CMP_BRANCH(x != y)
-
-    SB_CASE(kMovStoreG) : {
-      // Mov completes before the store reads (b2 may alias the mov dest).
-      regs[d->a] = regs[d->b];
-      taint[d->a] = taint[d->b];
-      globals_[d->a2] = regs[d->b2];
-      global_taint_[d->a2] = taint[d->b2];
-      th.pc += 2;
-      goto done_step;
-    }
-
-#ifndef SB_DISPATCH_GOTO
-  }
-  SB_CHECK(false);  // every token has a case above
-#endif
+    SB_MINIVM_SUPERS(SB_SUPER)
+#undef SB_SUPER
 
 branch_resolve : {
+  if constexpr (kReplay) {
+    if (!replay_decide(br_dir, br_tnt, br_site, t,
+                       "deterministic branch direction mismatch", &br_dir)) {
+      return;
+    }
+    th.pc = br_dir ? br_then : br_else;
+    goto done_step;
+  }
   // GuardPatch fix hook: steer away from a known crash direction when the
   // synthesized input predicate holds. Candidates were pre-filtered to this
   // site at predecode, in FixSet order; first match wins.
@@ -656,12 +769,12 @@ branch_resolve : {
 }
 
 done_step:
-  if (steps_ >= max_steps) goto step_limit;
+  if (!kReplay && steps_ >= max_steps) goto step_limit;
   if (left == 0) return;
   goto fetch;
 
 end_turn:
-  if (steps_ >= max_steps) goto step_limit;
+  if (!kReplay && steps_ >= max_steps) goto step_limit;
   return;
 
 step_limit : {
@@ -673,16 +786,10 @@ step_limit : {
   done_ = true;
   return;
 }
-
-#undef SB_CASE
-#undef SB_NEXT
-#undef SB_ALU
-#undef SB_DIVMOD
-#undef SB_CONST_ALU
-#undef SB_CMP_BRANCH
 }
 
-int Machine::pick_next_thread() {
+template <Mode kMode>
+int Machine<kMode>::pick_next_thread() {
   // Honor the steering plan first (guidance, §3.3: "guide P in exploring
   // previously unseen thread schedules").
   if (cfg_.schedule_plan != nullptr) {
@@ -734,7 +841,8 @@ struct VmMetrics {
   }
 };
 
-ExecResult Machine::run() {
+template <Mode kMode>
+ExecResult Machine<kMode>::run() {
   while (!done_) {
     const int picked = pick_next_thread();
     if (picked < 0) {
@@ -796,6 +904,51 @@ ExecResult Machine::run() {
   return result;
 }
 
+// Follows the trace: a multi-threaded program runs the recorded schedule,
+// each run as one turn of its thread, and a run that names a halted or
+// blocked thread fails; a single-threaded one runs up to the trace's steps.
+// replay_refusal() has already bounded both.
+template <Mode kMode>
+ReplayResult Machine<kMode>::replay() {
+  const Trace& tr = *replay_.trace;
+  if (threads_.size() > 1) {
+    for (const ScheduleRun& run : tr.schedule) {
+      if (done_) break;
+      if (run.thread >= threads_.size()) {
+        replay_fail("schedule names an unknown thread");
+        break;
+      }
+      const ThreadCtx& th = threads_[run.thread];
+      for (std::uint32_t left = run.steps; left != 0 && !done_;) {
+        if (th.halted) {
+          replay_fail("schedule names a halted thread");
+        } else if (th.blocked_on) {
+          replay_fail("schedule names a blocked thread");
+        } else {
+          const std::uint64_t before = steps_;
+          run_quantum(run.thread, left);
+          left -= static_cast<std::uint32_t>(steps_ - before);
+        }
+      }
+    }
+  } else {
+    run_quantum(0, static_cast<std::uint32_t>(tr.steps));
+  }
+
+  ReplayResult result;
+  result.outcome = tr.outcome;
+  result.decisions = std::move(branch_events_);
+  if (replay_.failed) {
+    result.error = std::move(replay_.error);
+  } else if (replay_.next_bit != tr.branch_bits.size()) {
+    // Consistency: every recorded bit must have been consumed.
+    result.error = "unconsumed branch bits";
+  } else {
+    result.ok = true;
+  }
+  return result;
+}
+
 }  // namespace
 
 const EnvModel& default_env() {
@@ -817,7 +970,7 @@ bool wants_fused(const ExecConfig& config) {
 ExecResult run_decoded(const Program& program, const DecodedProgram& decoded,
                        const ExecConfig& config) {
   SB_SPAN("minivm.execute");
-  Machine m(program.id, decoded, config);
+  Machine<Mode::kExecute> m(program.id, decoded, config);
   return m.run();
 }
 
@@ -835,6 +988,28 @@ ExecResult execute(const Program& program, const DecodedProgram& decoded,
   SB_CHECK(config.fixes == nullptr);  // the stream carries its fixes
   SB_CHECK(decoded.fused == wants_fused(config));
   return run_decoded(program, decoded, config);
+}
+
+ReplayResult replay_trace(const Program& program, const DecodedProgram& decoded,
+                          const Trace& trace) {
+  SB_CHECK(decoded.same_shape(program));
+  ReplayResult refused;
+  if (trace.granularity == Granularity::kNone) {
+    refused.error = "trace has no branch bits (granularity=kNone)";
+    return refused;
+  }
+  if (trace.patched) {
+    // A fix altered control flow; the recorded path is not a natural path
+    // of P and must not enter the execution tree (§3.3).
+    refused.error = "patched traces are not replayable as natural executions";
+    return refused;
+  }
+  if (const char* why = replay_refusal(program.num_threads(), trace)) {
+    refused.error = why;
+    return refused;
+  }
+  Machine<Mode::kReplay> m(program.id, decoded, kReplayConfig, &trace);
+  return m.replay();
 }
 
 }  // namespace softborg

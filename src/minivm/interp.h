@@ -56,7 +56,6 @@ struct ExecConfig {
   const EnvModel* env = nullptr;  // defaults to a shared default EnvModel
 
   bool collect_branch_events = false;
-  bool detect_deadlock = true;
 
   // Execute the superinstruction-fused decoded stream (decode.h). Fusion is
   // trace-invisible — fused pairs debit steps/quantum once per original

@@ -1,55 +1,9 @@
 #include "minivm/program.h"
 
+#include <iterator>
 #include <unordered_set>
 
 namespace softborg {
-
-bool is_binary_alu(Op op) {
-  switch (op) {
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kMod:
-    case Op::kCmpLt:
-    case Op::kCmpLe:
-    case Op::kCmpEq:
-    case Op::kCmpNe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kConst: return "const";
-    case Op::kMov: return "mov";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kMul: return "mul";
-    case Op::kDiv: return "div";
-    case Op::kMod: return "mod";
-    case Op::kCmpLt: return "cmplt";
-    case Op::kCmpLe: return "cmple";
-    case Op::kCmpEq: return "cmpeq";
-    case Op::kCmpNe: return "cmpne";
-    case Op::kBranchIf: return "brif";
-    case Op::kJump: return "jump";
-    case Op::kInput: return "input";
-    case Op::kSyscall: return "syscall";
-    case Op::kLoadG: return "loadg";
-    case Op::kStoreG: return "storeg";
-    case Op::kLock: return "lock";
-    case Op::kUnlock: return "unlock";
-    case Op::kAssert: return "assert";
-    case Op::kAbort: return "abort";
-    case Op::kOutput: return "output";
-    case Op::kYield: return "yield";
-    case Op::kHalt: return "halt";
-  }
-  return "?";
-}
 
 bool Program::validate(std::string* error) const {
   auto fail = [&](const std::string& msg) {
@@ -64,84 +18,31 @@ bool Program::validate(std::string* error) const {
   }
 
   const std::uint32_t n = static_cast<std::uint32_t>(code.size());
+  // The exclusive bound on an operand of each kind, in Operand order;
+  // unchecked kinds take any 32-bit value.
+  constexpr std::uint64_t kAny = std::uint64_t{1} << 32;
+  const std::uint64_t bound[] = {kAny,        num_regs,  num_regs,   n,
+                                 num_globals, num_locks, num_inputs, kAny};
+  static_assert(std::size(bound) == kNumOperandKinds);
   std::unordered_set<std::uint32_t> sites_seen;
 
   for (std::uint32_t pc = 0; pc < n; ++pc) {
     const Instr& ins = code[pc];
-    auto reg_ok = [&](std::uint32_t r) { return r < num_regs; };
-    switch (ins.op) {
-      case Op::kConst:
-        if (!reg_ok(ins.a)) return fail("const: bad reg");
-        break;
-      case Op::kMov:
-        if (!reg_ok(ins.a) || !reg_ok(ins.b)) return fail("mov: bad reg");
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kCmpLt:
-      case Op::kCmpLe:
-      case Op::kCmpEq:
-      case Op::kCmpNe:
-        if (!reg_ok(ins.a) || !reg_ok(ins.b) || !reg_ok(ins.c)) {
-          return fail("alu: bad reg");
-        }
-        break;
-      case Op::kBranchIf:
-        if (!reg_ok(ins.a)) return fail("brif: bad reg");
-        if (ins.b >= n || ins.c >= n) return fail("brif: target out of range");
-        if (ins.site >= num_branch_sites) return fail("brif: bad site id");
-        if (!sites_seen.insert(ins.site).second) {
-          return fail("brif: duplicate site id");
-        }
-        break;
-      case Op::kDiv:
-      case Op::kMod:
-        if (!reg_ok(ins.a) || !reg_ok(ins.b) || !reg_ok(ins.c)) {
-          return fail("div/mod: bad reg");
-        }
-        if (ins.site >= num_branch_sites) return fail("div/mod: bad site id");
-        if (!sites_seen.insert(ins.site).second) {
-          return fail("div/mod: duplicate site id");
-        }
-        break;
-      case Op::kJump:
-        if (ins.a >= n) return fail("jump: target out of range");
-        break;
-      case Op::kInput:
-        if (!reg_ok(ins.a)) return fail("input: bad reg");
-        if (ins.b >= num_inputs) return fail("input: bad slot");
-        break;
-      case Op::kSyscall:
-        if (!reg_ok(ins.a) || !reg_ok(ins.c)) return fail("syscall: bad reg");
-        break;
-      case Op::kLoadG:
-        if (!reg_ok(ins.a)) return fail("loadg: bad reg");
-        if (ins.b >= num_globals) return fail("loadg: bad global");
-        break;
-      case Op::kStoreG:
-        if (ins.a >= num_globals) return fail("storeg: bad global");
-        if (!reg_ok(ins.b)) return fail("storeg: bad reg");
-        break;
-      case Op::kLock:
-      case Op::kUnlock:
-        if (ins.a >= num_locks) return fail("lock/unlock: bad lock");
-        break;
-      case Op::kAssert:
-        if (!reg_ok(ins.a)) return fail("assert: bad reg");
-        if (ins.site >= num_branch_sites) return fail("assert: bad site id");
-        if (!sites_seen.insert(ins.site).second) {
-          return fail("assert: duplicate site id");
-        }
-        break;
-      case Op::kAbort:
-        break;
-      case Op::kOutput:
-        if (!reg_ok(ins.a)) return fail("output: bad reg");
-        break;
-      case Op::kYield:
-      case Op::kHalt:
-        break;
+    if (static_cast<std::size_t>(ins.op) >= kNumOps) return fail("bad opcode");
+    const OpInfo& info = op_info(ins.op);
+    const std::uint32_t operands[] = {ins.a, ins.b, ins.c};
+    for (int k = 0; k < 3; ++k) {
+      if (operands[k] >= bound[static_cast<std::size_t>(info.operand[k])]) {
+        return fail(std::string(info.name) + ": operand " + "abc"[k] +
+                    " out of range");
+      }
+    }
+    if (!info.site) continue;
+    if (ins.site >= num_branch_sites) {
+      return fail(std::string(info.name) + ": bad site id");
+    }
+    if (!sites_seen.insert(ins.site).second) {
+      return fail(std::string(info.name) + ": duplicate site id");
     }
   }
 

@@ -15,38 +15,11 @@
 
 #include "common/check.h"
 #include "common/ids.h"
+#include "minivm/ops.h"
 
 namespace softborg {
 
-using Value = std::int64_t;
 using Reg = std::uint16_t;
-
-enum class Op : std::uint8_t {
-  kConst,    // regs[a] = imm
-  kMov,      // regs[a] = regs[b]
-  kAdd,      // regs[a] = regs[b] + regs[c]
-  kSub,      // regs[a] = regs[b] - regs[c]
-  kMul,      // regs[a] = regs[b] * regs[c]
-  kDiv,      // regs[a] = regs[b] / regs[c]   (crash: div by zero)
-  kMod,      // regs[a] = regs[b] % regs[c]   (crash: mod by zero)
-  kCmpLt,    // regs[a] = regs[b] < regs[c]
-  kCmpLe,    // regs[a] = regs[b] <= regs[c]
-  kCmpEq,    // regs[a] = regs[b] == regs[c]
-  kCmpNe,    // regs[a] = regs[b] != regs[c]
-  kBranchIf, // if regs[a] != 0 goto b else goto c; has a static branch site id
-  kJump,     // goto a
-  kInput,    // regs[a] = inputs[b]; taints regs[a]
-  kSyscall,  // regs[a] = env(sys_id=b, arg=regs[c]); taints regs[a]
-  kLoadG,    // regs[a] = globals[b]
-  kStoreG,   // globals[a] = regs[b]
-  kLock,     // acquire lock a
-  kUnlock,   // release lock a
-  kAssert,   // if regs[a] == 0 crash(AssertFailure, detail=b)
-  kAbort,    // crash(ExplicitAbort, detail=a)
-  kOutput,   // append regs[a] to outputs
-  kYield,    // scheduler hint: end this thread's quantum
-  kHalt,     // terminate this thread
-};
 
 struct Instr {
   Op op = Op::kHalt;
@@ -81,17 +54,9 @@ struct Program {
     return code[pc];
   }
 
-  // Structural sanity: jump targets in range, register/global/lock/input
-  // indices within declared bounds, dense branch site numbering.
+  // Structural sanity: known opcodes, every operand within the bound its
+  // kind declares (ops.h), dense decision-site numbering.
   bool validate(std::string* error = nullptr) const;
 };
-
-// Number of opcodes; Op values are dense in [0, kNumOps).
-inline constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kHalt) + 1;
-
-// True for binary ALU operations reading regs b and c into reg a.
-bool is_binary_alu(Op op);
-
-const char* op_name(Op op);
 
 }  // namespace softborg

@@ -123,7 +123,6 @@ PodRun Pod::run_once(std::uint64_t day) {
   cfg.seed = rng_();
   cfg.max_steps = config_.max_steps;
   cfg.granularity = config_.granularity;
-  cfg.enable_fusion = config_.enable_fusion;
   if (directive && directive->schedule) {
     cfg.schedule_plan = &*directive->schedule;
   }
@@ -133,8 +132,7 @@ PodRun Pod::run_once(std::uint64_t day) {
   // Fetched on the first run rather than in the constructor, so building a
   // fleet does no decode work; pods with equal fix sets share one stream.
   if (decoded_ == nullptr) {
-    decoded_ = predecode_cached(entry_->program, &fixes_,
-                                {.fuse = config_.enable_fusion});
+    decoded_ = predecode_cached(entry_->program, &fixes_);
   }
   ExecResult exec = execute(entry_->program, *decoded_, cfg);
 

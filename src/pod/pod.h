@@ -54,16 +54,11 @@ struct PodConfig {
   // turn the knobs up and measure the utility cost (E8).
   AnonymizeConfig anonymize{.strip_pod_id = false, .quantize_day = false};
   std::uint64_t max_steps = 200'000;
-  // Superinstruction fusion in the MiniVM core. Traces are byte-identical
-  // either way (tests/dispatch_diff_test.cpp); off is only useful for
-  // dispatch-overhead experiments.
-  bool enable_fusion = true;
 
   static constexpr auto fields() {
     using C = PodConfig;
     return std::tuple{field(&C::granularity), field(&C::sampling_rate),
-                      field(&C::anonymize), field(&C::max_steps),
-                      field(&C::enable_fusion)};
+                      field(&C::anonymize), field(&C::max_steps)};
   }
 };
 

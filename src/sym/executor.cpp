@@ -82,20 +82,15 @@ class SymbolicExecutor::Impl {
           s.regs[ins.a] = s.regs[ins.b];
           s.pc++;
           break;
-        case Op::kAdd:
-        case Op::kSub:
-        case Op::kMul:
-        case Op::kCmpLt:
-        case Op::kCmpLe:
-        case Op::kCmpEq:
-        case Op::kCmpNe: {
-          s.regs[ins.a] = make_bin(binop_for(ins.op), s.regs[ins.b],
+#define SB_CASE(OP, ...) case Op::OP:
+        SB_MINIVM_PLAIN_ALU(SB_CASE) {
+          s.regs[ins.a] = make_bin(binop_of(ins.op), s.regs[ins.b],
                                    s.regs[ins.c]);
           s.pc++;
           break;
         }
-        case Op::kDiv:
-        case Op::kMod: {
+        SB_MINIVM_DIVISION(SB_CASE) {
+#undef SB_CASE
           if (!handle_div(s, ins)) return;  // crashed or became infeasible
           break;
         }
@@ -180,20 +175,6 @@ class SymbolicExecutor::Impl {
     }
   }
 
-  static BinOp binop_for(Op op) {
-    switch (op) {
-      case Op::kAdd: return BinOp::kAdd;
-      case Op::kSub: return BinOp::kSub;
-      case Op::kMul: return BinOp::kMul;
-      case Op::kDiv: return BinOp::kDiv;
-      case Op::kMod: return BinOp::kMod;
-      case Op::kCmpLt: return BinOp::kLt;
-      case Op::kCmpLe: return BinOp::kLe;
-      case Op::kCmpEq: return BinOp::kEq;
-      default: return BinOp::kNe;
-    }
-  }
-
   SolveResult query(const PathConstraint& pc,
                     const std::vector<VarDomain>& unknown_domains) {
     stats_.solver_calls++;
@@ -232,7 +213,7 @@ class SymbolicExecutor::Impl {
         return false;
       }
       s.regs[ins.a] =
-          make_bin(binop_for(ins.op), s.regs[ins.b], s.regs[ins.c]);
+          make_bin(binop_of(ins.op), s.regs[ins.b], s.regs[ins.c]);
       s.pc++;
       return true;
     }
@@ -257,7 +238,7 @@ class SymbolicExecutor::Impl {
         return false;
       }
       s.regs[ins.a] =
-          make_bin(binop_for(ins.op), s.regs[ins.b], s.regs[ins.c]);
+          make_bin(binop_of(ins.op), s.regs[ins.b], s.regs[ins.c]);
       s.pc++;
       return true;
     }
@@ -291,7 +272,7 @@ class SymbolicExecutor::Impl {
     }
     if (st == SolveStatus::kSat) s.model = std::move(model);
     s.regs[ins.a] =
-        make_bin(binop_for(ins.op), s.regs[ins.b], s.regs[ins.c]);
+        make_bin(binop_of(ins.op), s.regs[ins.b], s.regs[ins.c]);
     s.pc++;
     return true;
   }

@@ -45,28 +45,8 @@ Expr make_unknown(std::uint32_t ordinal) {
 }
 
 Value eval_binop(BinOp op, Value a, Value b) {
-  switch (op) {
-    case BinOp::kAdd:
-      return static_cast<Value>(static_cast<std::uint64_t>(a) +
-                                static_cast<std::uint64_t>(b));
-    case BinOp::kSub:
-      return static_cast<Value>(static_cast<std::uint64_t>(a) -
-                                static_cast<std::uint64_t>(b));
-    case BinOp::kMul:
-      return static_cast<Value>(static_cast<std::uint64_t>(a) *
-                                static_cast<std::uint64_t>(b));
-    case BinOp::kDiv:
-      SB_CHECK(b != 0);
-      return (a == INT64_MIN && b == -1) ? INT64_MIN : a / b;
-    case BinOp::kMod:
-      SB_CHECK(b != 0);
-      return (a == INT64_MIN && b == -1) ? 0 : a % b;
-    case BinOp::kLt: return a < b;
-    case BinOp::kLe: return a <= b;
-    case BinOp::kEq: return a == b;
-    case BinOp::kNe: return a != b;
-  }
-  return 0;
+  SB_CHECK(b != 0 || (op != BinOp::kDiv && op != BinOp::kMod));
+  return binop_value(op, a, b);
 }
 
 Expr make_bin(BinOp op, Expr lhs, Expr rhs) {

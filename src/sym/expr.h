@@ -16,17 +16,7 @@
 
 namespace softborg {
 
-enum class BinOp : std::uint8_t {
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,  // only constructed under a divisor!=0 path constraint
-  kMod,
-  kLt,
-  kLe,
-  kEq,
-  kNe,
-};
+// BinOp, the binary operators, comes with the opcode table (minivm/ops.h).
 
 const char* binop_name(BinOp op);
 
@@ -51,8 +41,8 @@ Expr make_bin(BinOp op, Expr lhs, Expr rhs);
 
 inline bool is_const(const Expr& e) { return e->kind == ExprKind::kConst; }
 
-// Wrapping semantics identical to the interpreter. Division by zero in a
-// fully concrete fold is the caller's bug (checked).
+// The interpreter's value (binop_value, minivm/ops.h). Division by zero in
+// a fully concrete fold is the caller's bug (checked).
 Value eval_binop(BinOp op, Value a, Value b);
 
 // Evaluates under a full assignment. Out-of-range variables read as 0.

@@ -3,10 +3,7 @@
 // pre-rebuild interpreter (execute_reference, interp_ref.cpp) on every
 // observable — encoded trace bytes, outputs, branch events, deadlock
 // cycles, fix interventions — across random programs, corpus programs,
-// schedules, fault plans, and installed fixes. CI runs this suite under
-// both dispatch backends (SOFTBORG_DISPATCH=goto and =switch), and the
-// reference is backend-independent, so passing in both builds proves
-// goto ≡ switch ≡ pre-rebuild.
+// schedules, fault plans, and installed fixes.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -7,8 +7,10 @@
 #include "hive/guidance.h"
 #include "hive/hive.h"
 #include "hive/proof.h"
+#include "minivm/builder.h"
 #include "minivm/corpus.h"
 #include "minivm/interp.h"
+#include "minivm/replay.h"
 #include "trace/codec.h"
 
 namespace softborg {
@@ -612,6 +614,57 @@ TEST_F(HiveTest, WireRoundTripThroughIngestBytes) {
   EXPECT_EQ(hive_.bug_tracker().all().size(), 1u);
 }
 
+// Wires come from outside (pods, routers, socket frames), so replay refuses
+// a claim no run of the interpreter makes instead of running it. Each claim
+// is sized just past what replay accepts: a replay that ran it anyway would
+// still return quickly, and merge it.
+void expect_unreplayable(const std::vector<CorpusEntry>& corpus,
+                         const Trace& t) {
+  for (const bool batch : {false, true}) {
+    Hive hive(&corpus);
+    if (batch) {
+      hive.ingest_batch({encode_trace(t)});
+    } else {
+      hive.ingest_bytes(encode_trace(t));
+    }
+    EXPECT_EQ(hive.stats().traces_ingested, 1u) << batch;
+    EXPECT_EQ(hive.stats().replay_failures, 1u) << batch;
+    EXPECT_EQ(hive.stats().paths_merged, 0u) << batch;
+    // Bug tracking runs before replay: the sighting still counts.
+    EXPECT_EQ(hive.bug_tracker().all().size(),
+              t.outcome == Outcome::kOk ? 0u : 1u)
+        << batch;
+  }
+}
+
+TEST_F(HiveTest, WireClaimingStepsPastTheCapIsUnreplayable) {
+  // The hang trace of a pod whose max_steps is twice the cap, on a program
+  // that spins without reading anything.
+  ProgramBuilder b("spin", 900);
+  b.jump(b.here());
+  std::vector<CorpusEntry> corpus = corpus_;
+  corpus.emplace_back().program = b.build();
+  ExecConfig cfg;
+  cfg.max_steps = 2 * kMaxReplaySteps;
+  Trace t = execute(corpus.back().program, cfg).trace;
+  t.id = TraceId(1);
+  ASSERT_EQ(t.outcome, Outcome::kHang);
+  ASSERT_GT(t.steps, kMaxReplaySteps);
+  expect_unreplayable(corpus, t);
+}
+
+TEST_F(HiveTest, WireWhoseScheduleDisagreesWithItsStepsIsUnreplayable) {
+  // race_counter's thread 0 increments, then spins on a global only thread
+  // 1 sets: a schedule of thread 0 alone runs it for as long as it claims,
+  // with no bits to read. One step past the cap, against steps at the cap.
+  Trace t;
+  t.id = TraceId(1);
+  t.program = entry("race_counter").program.id;
+  t.schedule = {{0, static_cast<std::uint32_t>(kMaxReplaySteps + 1)}};
+  t.steps = kMaxReplaySteps;
+  expect_unreplayable(corpus_, t);
+}
+
 TEST_F(HiveTest, MalformedBytesCounted) {
   hive_.ingest_bytes({0xde, 0xad, 0xbe, 0xef});
   EXPECT_EQ(hive_.stats().decode_failures, 1u);
@@ -820,6 +873,29 @@ TEST_F(HiveTest, ReproofOfAnUnchangedProgramPublishesOnce) {
   EXPECT_FALSE(hive_.published_proofs()[1].revoked);
   EXPECT_EQ(hive_.published_proofs()[1].certificate, again);
   EXPECT_EQ(hive_.valid_proof_count(), 1u);
+
+  // A tree that gap closure completed: the first attempt refutes
+  // worker_pool's defensive abort with the solver and closes it in the
+  // tree, so the re-proofs make no solver call and close no gap. The
+  // attempts differ in telemetry, not in what they prove.
+  const auto& pool = entry("worker_pool");
+  hive_.ingest(failing_trace(pool, {10}, 3));
+  hive_.ingest(failing_trace(pool, {70}, 4));
+  const ProofCertificate first =
+      hive_.attempt_proof(pool.program.id, Property::kNeverCrashes);
+  ASSERT_TRUE(first.publishable());
+  EXPECT_GE(first.gaps_closed_infeasible, 1u);
+  for (int i = 0; i < 3; ++i) {
+    const ProofCertificate re =
+        hive_.attempt_proof(pool.program.id, Property::kNeverCrashes);
+    ASSERT_TRUE(re.publishable());
+    EXPECT_EQ(re.gaps_closed_infeasible, 0u);
+  }
+  std::size_t pool_certificates = 0;
+  for (const auto& published : hive_.published_proofs()) {
+    if (published.certificate.program == pool.program.id) pool_certificates++;
+  }
+  EXPECT_EQ(pool_certificates, 1u);
 }
 
 TEST_F(HiveTest, ProofCarriesTheDayItWasIssued) {

@@ -215,7 +215,7 @@ bool ReferenceMachine::exec_lock(std::uint8_t t, const Instr& ins) {
   // Block (possibly on a lock we already own: self-deadlock).
   th.blocked_on = l;
   lock.waiters.push_back(t);
-  if (cfg_.detect_deadlock) {
+  {
     std::vector<LockEvent> cycle;
     if (wait_chain_has_cycle(t, &cycle)) {
       done_ = true;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include "minivm/builder.h"
 #include "minivm/corpus.h"
 #include "minivm/decode.h"
+#include "minivm/disasm.h"
 #include "minivm/interp.h"
 #include "minivm/program.h"
 
@@ -83,6 +86,119 @@ TEST(Program, ValidateCatchesBadRegister) {
   Program p = b.build();
   p.code.insert(p.code.begin(), {.op = Op::kConst, .a = 7});
   EXPECT_FALSE(p.validate());
+}
+
+// What each operand of each opcode names, written out independently of
+// src/minivm so that this test pins validate() rather than restating it.
+enum class Operand { kNone, kReg, kTarget, kGlobal, kLock, kSlot, kFree };
+
+struct OpcodeShape {
+  Op op;
+  Operand a, b, c;
+  bool site;  // owns a decision site
+};
+
+constexpr OpcodeShape kShapes[] = {
+    {Op::kConst, Operand::kReg, Operand::kNone, Operand::kNone, false},
+    {Op::kMov, Operand::kReg, Operand::kReg, Operand::kNone, false},
+    {Op::kAdd, Operand::kReg, Operand::kReg, Operand::kReg, false},
+    {Op::kSub, Operand::kReg, Operand::kReg, Operand::kReg, false},
+    {Op::kMul, Operand::kReg, Operand::kReg, Operand::kReg, false},
+    {Op::kDiv, Operand::kReg, Operand::kReg, Operand::kReg, true},
+    {Op::kMod, Operand::kReg, Operand::kReg, Operand::kReg, true},
+    {Op::kCmpLt, Operand::kReg, Operand::kReg, Operand::kReg, false},
+    {Op::kCmpLe, Operand::kReg, Operand::kReg, Operand::kReg, false},
+    {Op::kCmpEq, Operand::kReg, Operand::kReg, Operand::kReg, false},
+    {Op::kCmpNe, Operand::kReg, Operand::kReg, Operand::kReg, false},
+    {Op::kBranchIf, Operand::kReg, Operand::kTarget, Operand::kTarget, true},
+    {Op::kJump, Operand::kTarget, Operand::kNone, Operand::kNone, false},
+    {Op::kInput, Operand::kReg, Operand::kSlot, Operand::kNone, false},
+    // Syscall id, assert message and abort code are free-form: validate()
+    // accepts any value there.
+    {Op::kSyscall, Operand::kReg, Operand::kFree, Operand::kReg, false},
+    {Op::kLoadG, Operand::kReg, Operand::kGlobal, Operand::kNone, false},
+    {Op::kStoreG, Operand::kGlobal, Operand::kReg, Operand::kNone, false},
+    {Op::kLock, Operand::kLock, Operand::kNone, Operand::kNone, false},
+    {Op::kUnlock, Operand::kLock, Operand::kNone, Operand::kNone, false},
+    {Op::kAssert, Operand::kReg, Operand::kFree, Operand::kNone, true},
+    {Op::kAbort, Operand::kFree, Operand::kNone, Operand::kNone, false},
+    {Op::kOutput, Operand::kReg, Operand::kNone, Operand::kNone, false},
+    {Op::kYield, Operand::kNone, Operand::kNone, Operand::kNone, false},
+    {Op::kHalt, Operand::kNone, Operand::kNone, Operand::kNone, false},
+};
+static_assert(std::size(kShapes) == kNumOps);
+
+// [instr, halt] with two registers, one global, lock and input slot, and
+// `copies` copies of the instruction under test (site ids 0..copies-1 when
+// it owns a site).
+Program shape_program(const OpcodeShape& s, std::uint32_t copies = 1) {
+  Program p;
+  p.name = "shape";
+  for (std::uint32_t i = 0; i < copies; ++i) {
+    p.code.push_back({.op = s.op, .site = s.site ? i : 0});
+  }
+  p.code.push_back({.op = Op::kHalt});
+  p.thread_entries = {0};
+  p.num_regs = 2;
+  p.num_globals = 1;
+  p.num_locks = 1;
+  p.num_inputs = 1;
+  p.num_branch_sites = s.site ? copies : 0;
+  return p;
+}
+
+// The first value out of range for an operand of `kind` in `p`.
+std::uint32_t first_out_of_range(const Program& p, Operand kind) {
+  switch (kind) {
+    case Operand::kReg: return p.num_regs;
+    case Operand::kTarget: return static_cast<std::uint32_t>(p.code.size());
+    case Operand::kGlobal: return p.num_globals;
+    case Operand::kLock: return p.num_locks;
+    case Operand::kSlot: return p.num_inputs;
+    default: return 0;
+  }
+}
+
+TEST(Program, ValidateChecksEveryOperandOfEveryOpcode) {
+  for (const OpcodeShape& s : kShapes) {
+    const std::string name = op_name(s.op);
+    const Program base = shape_program(s);
+    std::string err;
+    ASSERT_TRUE(base.validate(&err)) << name << ": " << err;
+
+    const std::pair<Operand, std::uint32_t Instr::*> operands[] = {
+        {s.a, &Instr::a}, {s.b, &Instr::b}, {s.c, &Instr::c}};
+    for (const auto& [kind, field] : operands) {
+      Program p = base;
+      if (kind == Operand::kNone || kind == Operand::kFree) {
+        // Unchecked: any value is accepted.
+        p.code[0].*field = 0xffffffffu;
+        EXPECT_TRUE(p.validate(&err)) << name << ": " << err;
+        continue;
+      }
+      p.code[0].*field = first_out_of_range(p, kind) - 1;  // last valid
+      EXPECT_TRUE(p.validate(&err)) << name << ": " << err;
+      p.code[0].*field = first_out_of_range(p, kind);
+      EXPECT_FALSE(p.validate()) << name << " accepted an operand out of range";
+      p.code[0].*field = 0xffffffffu;
+      EXPECT_FALSE(p.validate()) << name << " accepted 0xffffffff";
+    }
+
+    Program site = base;
+    site.code[0].site = 7;
+    if (!s.site) {
+      EXPECT_TRUE(site.validate(&err)) << name << ": " << err;
+      continue;
+    }
+    EXPECT_FALSE(site.validate()) << name << " accepted a site out of range";
+    Program two = shape_program(s, 2);
+    ASSERT_TRUE(two.validate(&err)) << name << ": " << err;
+    two.code[1].site = 0;  // duplicate, and site 1 left unused
+    EXPECT_FALSE(two.validate()) << name << " accepted a duplicate site";
+    Program sparse = base;
+    sparse.num_branch_sites = 2;  // site 1 declared but never used
+    EXPECT_FALSE(sparse.validate()) << name << " accepted non-dense sites";
+  }
 }
 
 // ------------------------------------------- checks that abort (SB_CHECK) --
@@ -593,6 +709,124 @@ TEST(Guidance, FaultPlanForcesSyscallResult) {
   const auto result = execute(entry.program, cfg);
   EXPECT_EQ(result.trace.outcome, Outcome::kCrash);
   EXPECT_EQ(result.trace.crash->kind, CrashKind::kDivByZero);
+}
+
+// -------------------------------------------------------- disassembly -----
+
+// Compares `actual` with tests/golden/<file>. On a mismatch the actual
+// text is written to <file>.actual in the working directory, so
+// `diff tests/golden/<file> <build>/tests/<file>.actual` shows the change.
+void expect_golden(const std::string& actual, const std::string& file) {
+  std::ifstream in(std::string(SOFTBORG_GOLDEN_DIR) + "/" + file);
+  const std::string expected((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  if (!in.good() && expected.empty()) ADD_FAILURE() << "no golden " << file;
+  if (actual != expected) {
+    std::ofstream(file + ".actual") << actual;
+    ADD_FAILURE() << "text differs from tests/golden/" << file
+                  << "; the actual text is in " << file << ".actual";
+  }
+}
+
+// Every opcode, every superinstruction, the const+cmp deferral and a
+// cmp+branch pair that does not fuse (the branch tests another register),
+// over two threads.
+Program every_opcode_program() {
+  ProgramBuilder b("every_opcode", 77);
+  const Reg r0 = b.reg(), r1 = b.reg(), r2 = b.reg(), r3 = b.reg(),
+            r4 = b.reg(), r5 = b.reg();
+  const std::uint32_t g = b.global();
+  const std::uint32_t l = b.lock();
+  const std::uint32_t in = b.input_slot();
+  b.const_(r0, 5);
+  b.add(r1, r0, r0);
+  b.const_(r2, -3);
+  b.sub(r1, r1, r2);
+  b.const_(r2, 2);
+  b.mul(r1, r1, r2);
+  b.const_(r2, 1);
+  b.cmp_lt(r3, r1, r2);
+  b.const_(r2, 1);
+  b.cmp_le(r3, r1, r2);
+  b.const_(r2, 1);
+  b.cmp_eq(r3, r1, r2);
+  b.const_(r2, 1);
+  b.cmp_ne(r3, r1, r2);
+  b.input(r4, in);
+  auto next = b.label();
+  b.cmp_lt(r3, r4, r0);
+  b.branch_if(r3, next, next);
+  b.bind(next);
+  next = b.label();
+  b.cmp_le(r3, r4, r0);
+  b.branch_if(r3, next, next);
+  b.bind(next);
+  next = b.label();
+  b.cmp_eq(r3, r4, r0);
+  b.branch_if(r3, next, next);
+  b.bind(next);
+  next = b.label();
+  b.cmp_ne(r3, r4, r0);
+  b.branch_if(r3, next, next);
+  b.bind(next);
+  next = b.label();
+  b.const_(r2, 7);  // deferred: the cmp fuses with the branch instead
+  b.cmp_eq(r3, r4, r2);
+  b.branch_if(r3, next, next);
+  b.bind(next);
+  next = b.label();
+  b.cmp_lt(r3, r4, r0);
+  b.branch_if(r5, next, next);  // tests r5, not the compare: no fusion
+  b.bind(next);
+  b.mov(r5, r4);
+  b.storeg(g, r5);
+  b.loadg(r5, g);
+  b.div(r1, r1, r4);
+  b.mod(r1, r1, r4);
+  b.syscall(r1, 2, r4);
+  b.lock_acq(l);
+  b.lock_rel(l);
+  b.assert_true(r1, 9);
+  b.output(r1);
+  b.yield();
+  auto end = b.label();
+  b.jump(end);
+  b.abort_now(3);
+  b.bind(end);
+  b.halt();
+  b.start_thread();
+  b.yield();
+  b.halt();
+  return b.build();
+}
+
+TEST(Disasm, GoldenListingsOfEveryOpcode) {
+  const Program p = every_opcode_program();
+  std::set<Op> ops;
+  for (const Instr& ins : p.code) ops.insert(ins.op);
+  EXPECT_EQ(ops.size(), kNumOps);
+  const DecodedProgram fused = predecode(p, nullptr);
+  std::set<Tok> supers;
+  for (const DecodedInstr& slot : fused.code) {
+    if (slot.len == 2) supers.insert(slot.tok);
+  }
+  EXPECT_EQ(supers.size(), kNumToks - kNumOps);
+
+  expect_golden(disassemble(p), "every_opcode.disasm");
+  expect_golden(disassemble_decoded(p, fused), "every_opcode.decoded");
+  expect_golden(disassemble_decoded(p, predecode(p, nullptr, {.fuse = false})),
+                "every_opcode.unfused");
+}
+
+TEST(Disasm, GoldenPairCountTableOfEveryOpcodePair) {
+  // Each of the 576 pairs gets a distinct count, scrambled against opcode
+  // order (577 is prime), so the table's row order is fixed.
+  OpPairCounts counts;
+  for (std::size_t i = 0; i < counts.counts.size(); ++i) {
+    counts.counts[i] = (i * 7919) % 577 + 1;
+  }
+  expect_golden(format_pair_counts(counts), "every_pair.counts");
+  expect_golden(format_pair_counts(counts, 5), "every_pair_top5.counts");
 }
 
 // -------------------------------------------------------------- corpus -----
